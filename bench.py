@@ -57,17 +57,7 @@ def run_bench() -> dict:
 
     d = synth.ensure_transcripts_sharded(SF_DIR, shards=SHARDS, repeat=REPEAT)
     paths = sorted(glob.glob(os.path.join(d, "part-*.parquet")))
-    # warm the page cache with a pass that actually reads every column
-    # (count() alone can be served from Parquet footers — ADVICE r01)
     import pyarrow as pa
-
-    def _touch(b: pa.Table) -> pa.Table:
-        nbytes = sum(c.nbytes for c in b.columns)  # forces buffer access
-        return pa.table({"n": pa.array([b.num_rows], pa.int64()),
-                         "nbytes": pa.array([nbytes], pa.int64())})
-
-    n_turns = int(rd.read_parquet(paths).map_batches(
-        _touch, batch_format="pyarrow", batch_size=None).sum("n"))
 
     def read():
         # no override_num_blocks: an explicit block override inserts a
@@ -83,25 +73,10 @@ def run_bench() -> dict:
             .map_batches(intrusion_view, batch_format="pyarrow",
                          batch_size=None)
 
-    queries: dict[str, float] = {}
-    runs = int(os.environ.get("SLAR_BENCH_RUNS", "2"))
-
-    only = os.environ.get("SLAR_BENCH_ONLY")  # comma list -> subset run
-    only_set = set(only.split(",")) if only else None
+    plan: dict[str, object] = {}
 
     def timed(name, fn):
-        if only_set is not None and name not in only_set:
-            return
-        # best-of-N: the first execution of a plan shape pays one-time task
-        # submission / worker-cache warmup (~0.5-1 s observed at 32 CPUs);
-        # steady-state throughput is the quantity BASELINE.md tracks
-        best = None
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            fn()
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        queries[name] = round(best, 3)
+        plan[name] = fn
 
     # pure vectorized parse+route throughput
     timed("parse_route", lambda: read().map_batches(
@@ -124,13 +99,13 @@ def run_bench() -> dict:
                          batch_size=None) \
             .map_batches(lambda b: b.filter(pc.is_valid(b["code"])),
                          batch_format="pyarrow", batch_size=None)
-        agg.grouped_count(inner, ["country"], small_keyspace=True).sort(
+        agg.grouped_count(inner, ["country"]).sort(
             ["cnt", "country"], descending=[True, False]).to_pandas()
     timed("flagship_country_counts", flagship)
 
     # north-rule aggregate key groupby over raw turns
     timed("agg_conv_role_tool", lambda: agg.grouped_count(
-        read(), ["conv_id", "role", "tool"], high_cardinality=True).count())
+        read(), ["conv_id", "role", "tool"]).count())
 
     # natural-key dedup shuffle over parsed rows
     timed("parsed_dedup", lambda: dd.dedup_keep_first(parsed_ds()).count())
@@ -213,6 +188,37 @@ def run_bench() -> dict:
                                                 pa.int64())}),
               batch_format="pyarrow", batch_size=None).sum("n"))
 
+    only = os.environ.get("SLAR_BENCH_ONLY")  # comma list -> subset run
+    if only:
+        plan = {n: fn for n, fn in plan.items() if n in only.split(",")}
+        if not plan:
+            ray.shutdown()
+            sys.exit(f"SLAR_BENCH_ONLY={only!r} matches no timed query")
+
+    # warm the page cache with a pass that actually reads every column
+    # (count() alone can be served from Parquet footers — ADVICE r01)
+    def _touch(b: pa.Table) -> pa.Table:
+        nbytes = sum(c.nbytes for c in b.columns)  # forces buffer access
+        return pa.table({"n": pa.array([b.num_rows], pa.int64()),
+                         "nbytes": pa.array([nbytes], pa.int64())})
+
+    n_turns = int(rd.read_parquet(paths).map_batches(
+        _touch, batch_format="pyarrow", batch_size=None).sum("n"))
+
+    queries: dict[str, float] = {}
+    runs = int(os.environ.get("SLAR_BENCH_RUNS", "2"))
+    for name, fn in plan.items():
+        # best-of-N: the first execution of a plan shape pays one-time task
+        # submission / worker-cache warmup (~0.5-1 s observed at 32 CPUs);
+        # steady-state throughput is the quantity BASELINE.md tracks
+        best = None
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            fn()
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        queries[name] = round(best, 3)
+
     head = queries.get("flagship_country_counts") \
         or next(iter(queries.values()))
     result = {
@@ -225,7 +231,6 @@ def run_bench() -> dict:
         "n_turns": n_turns,
         "turns_per_sec": round(n_turns / head, 1),
     }
-    import ray
     ray.shutdown()
     return result
 
@@ -356,12 +361,12 @@ def run_stats() -> None:
         .map_batches(enrich_batch, batch_format="pyarrow", batch_size=None) \
         .map_batches(lambda b: b.filter(pc.is_valid(b["code"])),
                      batch_format="pyarrow", batch_size=None)
-    # materialize the INNER pipeline for stats: the small_keyspace final
-    # combine builds a fresh driver-side dataset, which would hide the
+    # materialize the INNER pipeline for stats: the driver-side final
+    # combine builds a fresh dataset, which would hide the
     # read->parse->enrich operator chain (fusion check) from .stats()
     m = inner.materialize()
     print(m.stats())
-    out = agg.grouped_count(m, ["country"], small_keyspace=True)
+    out = agg.grouped_count(m, ["country"])
     print(out.to_pandas().head(30).to_string())
     ray.shutdown()
 

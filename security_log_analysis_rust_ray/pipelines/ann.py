@@ -807,7 +807,7 @@ def cluster_top_terms(sf_dir: str, k: int = CLUSTER_TOP_TERMS) -> rd.Dataset:
 
     counts = agg.grouped_count(
         joined.map_batches(cluster_terms, batch_format="pyarrow"),
-        ["cluster", "term"], alias="cnt", high_cardinality=True)
+        ["cluster", "term"], alias="cnt")
     return agg.grouped_top_k(counts, ["cluster"], "cnt", k,
                              tie_cols=["term"])
 

@@ -389,7 +389,7 @@ def source_top_terms_audit(sf_dir: str, k: int = MG_K) -> rd.Dataset:
     counts = grouped_count(
         base.map_batches(explode, batch_format="pyarrow",
                          batch_size=None),
-        ["source", "term"], alias="c", high_cardinality=True)
+        ["source", "term"], alias="c")
 
     def check(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:

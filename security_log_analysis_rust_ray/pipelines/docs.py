@@ -410,8 +410,7 @@ def _prefix_candidates(sf_dir: str, threshold: float,
     from ..stages.dedup import _use_hash_shuffle, distinct_rows
     from ..stages.joins import lookup_join
     sh = shingles_ds(sf_dir)
-    gf = agg.grouped_count(sh, ["g"], alias="gf",
-                           high_cardinality=True).materialize()
+    gf = agg.grouped_count(sh, ["g"], alias="gf").materialize()
     shf = lookup_join(sh, gf, "g", "g", nparts=nparts, how="inner")
     rep = _use_hash_shuffle(shf, nparts).repartition(
         num_blocks=nparts, keys=["doc_id"])
@@ -877,8 +876,8 @@ def doc_tfidf_top_terms(sf_dir: str, k: int = 3) -> rd.Dataset:
     in a driver-side dict):
 
       tf  = per-batch (doc_id, term, tf) counts (docs never span batches)
-      df  = grouped count of tf rows per term (high-cardinality path:
-            partial counts -> hash repartition -> per-block sum)
+      df  = grouped count of tf rows per term (partial counts, then a
+            driver combine or hash repartition -> per-block sum)
       tf |x| df on term (partitioned hash join)
       -> hash-repartition by doc_id -> per-block vectorized score + top-k.
 
@@ -895,8 +894,7 @@ def doc_tfidf_top_terms(sf_dir: str, k: int = 3) -> rd.Dataset:
     tf = docs_aug_ds(sf_dir).map_batches(
         _doc_tf_batch, batch_format="pyarrow", batch_size=None).materialize()
     # tf rows are distinct per (doc, term), so counting rows per term IS df
-    df = agg.grouped_count(tf, ["term"], alias="df",
-                           high_cardinality=True).materialize()
+    df = agg.grouped_count(tf, ["term"], alias="df").materialize()
 
     # df is unique per term and MATERIALIZED: the size-aware lookup_join
     # broadcasts it while the vocab fits the byte budget (no term shuffle
@@ -1307,8 +1305,7 @@ def doc_decontaminate(sf_dir: str) -> rd.Dataset:
         .map_batches(_distinct_shingles_batch, batch_format="pyarrow")
     hits = semi_join(train_g, eval_g, "g", "g",
                      nparts=_join_parts(sf_dir))
-    return agg.grouped_count(hits, ["doc_id"], alias="n_shared",
-                             high_cardinality=True).sort("doc_id")
+    return agg.grouped_count(hits, ["doc_id"], alias="n_shared").sort("doc_id")
 
 
 def _eval_rows(b: pa.Table) -> pa.Table:
@@ -1780,10 +1777,8 @@ def vocab_kl_divergence(sf_dir: str) -> rd.Dataset:
     new_terms = docs_aug_ds(sf_dir) \
         .map_batches(_eval_rows, batch_format="pyarrow", batch_size=None) \
         .map_batches(_terms_batch, batch_format="pyarrow")
-    bc = agg.grouped_count(base_terms, ["term"], alias="cnt_b",
-                           high_cardinality=True)
-    nc = agg.grouped_count(new_terms, ["term"], alias="cnt_n",
-                           high_cardinality=True)
+    bc = agg.grouped_count(base_terms, ["term"], alias="cnt_b")
+    nc = agg.grouped_count(new_terms, ["term"], alias="cnt_n")
     vocab = distinct_rows(
         bc.select_columns(["term"]).union(nc.select_columns(["term"])),
         ["term"])
@@ -2306,10 +2301,7 @@ def doc_lm_score(sf_dir: str) -> rd.Dataset:
     tf = docs_aug_ds(sf_dir).map_batches(
         _doc_tf_batch, batch_format="pyarrow", batch_size=None).materialize()
     # materialized: the lookup_join size gate sees the real vocab bytes.
-    # high_cardinality: the vocab is web-scale; the hash-repartition final
-    # beats the native sort groupby ~13x here (profiled: 27 s -> 2 s/100k)
-    cnt = agg.grouped_sum(tf, ["term"], "tf", alias="c",
-                          high_cardinality=True).materialize()
+    cnt = agg.grouped_sum(tf, ["term"], "tf", alias="c").materialize()
     # corpus totals fold over the VOCAB-sized cnt, not the token-scale tf
     total = int(cnt.sum("c"))
     v = cnt.count()
@@ -2472,11 +2464,10 @@ def doc_dsir_weights(sf_dir: str) -> rd.Dataset:
         m = np.mod(t["doc_id"].to_numpy(), 10) == 3
         return t.filter(pa.array(m))
 
-    cnt_r = agg.grouped_sum(tf, ["term"], "tf", alias="c_r",
-                            high_cardinality=True).materialize()
+    cnt_r = agg.grouped_sum(tf, ["term"], "tf", alias="c_r").materialize()
     cnt_t = agg.grouped_sum(
         tf.map_batches(tgt_only, batch_format="pyarrow", batch_size=None),
-        ["term"], "tf", alias="c_t", high_cardinality=True).materialize()
+        ["term"], "tf", alias="c_t").materialize()
     v = cnt_r.count()                       # union vocab (target ⊆ raw)
     denom_r = float(int(cnt_r.sum("c_r") or 0) + v)
     # ds.sum on an empty dataset returns None — an empty target sample
@@ -2610,8 +2601,7 @@ def _bpe_init_state(sf_dir: str) -> rd.Dataset:
     per-unique-word Python loop, run ONCE at init over vocab rows only."""
     terms = docs_aug_ds(sf_dir).map_batches(
         _terms_batch, batch_format="pyarrow", batch_size=None)
-    vocab = agg.grouped_count(terms, ["term"], alias="cnt",
-                              high_cardinality=True)
+    vocab = agg.grouped_count(terms, ["term"], alias="cnt")
 
     def split(b: pa.Table) -> pa.Table:
         words = b["term"].to_pylist()
@@ -2718,13 +2708,13 @@ def bpe_learn(sf_dir: str,
     merges: list[tuple[str, str, int]] = []
     for _ in range(n_merges):
         # the per-block partial already reduces to distinct pairs, and the
-        # pair keyspace is alphabet-bounded, so the final fold is the
-        # guarded driver combine (ONE streaming pass, no exchange) rather
-        # than a distributed shuffle per merge round
+        # pair keyspace is alphabet-bounded, so the final fold stays on the
+        # driver (ONE streaming pass, no exchange) rather than a
+        # distributed shuffle per merge round
         counts = agg.grouped_sum(
             state.map_batches(_bpe_pair_counts, batch_format="pyarrow",
                               batch_size=None),
-            ["left", "right"], "c", alias="c", small_keyspace=True)
+            ["left", "right"], "c", alias="c")
         top = _bpe_top_pair(counts)
         if top is None or top[2] < 2:   # nothing left worth merging
             break
@@ -2831,7 +2821,7 @@ def doc_bpe_learned_token_count(sf_dir: str,
         doc_terms, batch_format="pyarrow", batch_size=None)
     joined = lookup_join(terms, lens, "term", "term", nparts=nparts)
     return agg.grouped_sum(joined, ["doc_id"], "n_tokens",
-                           alias="n_tokens", high_cardinality=True)
+                           alias="n_tokens")
 
 
 # ---------------------------------------------------------------------------
@@ -3011,8 +3001,7 @@ def doc_chunk_dedup_text(sf_dir: str) -> rd.Dataset:
 
     chunks = pieces.map_batches(pack, batch_format="pyarrow",
                                 batch_size=None)
-    winners = agg.grouped_min(chunks, ["piece"], "packed", alias="fk",
-                              high_cardinality=True)
+    winners = agg.grouped_min(chunks, ["piece"], "packed", alias="fk")
 
     def decode(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or t.num_rows == 0:
@@ -3143,7 +3132,7 @@ def filter_ablation_report(sf_dir: str) -> rd.Dataset:
 
     return agg.grouped_count_cube(
         docs_aug_ds(sf_dir).map_batches(flags, batch_format="pyarrow"),
-        keys, small_keyspace=True)
+        keys)
 
 
 def doc_quality_percentile(sf_dir: str) -> rd.Dataset:
@@ -3222,8 +3211,7 @@ def vocab_coverage_curve(sf_dir: str,
     (top_n, coverage rounded 6)."""
     terms = docs_aug_ds(sf_dir).map_batches(
         _terms_batch, batch_format="pyarrow", batch_size=None)
-    counts = agg.grouped_count(terms, ["term"], alias="cnt",
-                               high_cardinality=True).materialize()
+    counts = agg.grouped_count(terms, ["term"], alias="cnt").materialize()
     total = int(counts.sum("cnt") or 0)
     head = agg.top_k(counts, "cnt", ["term"], max(ns)).to_pandas()
     cum = head["cnt"].cumsum()
@@ -3278,10 +3266,10 @@ def corpus_collocations(sf_dir: str,
 
     big = agg.grouped_count(
         base.map_batches(bigrams, batch_format="pyarrow"),
-        ["w1", "w2"], alias="cnt", high_cardinality=True).materialize()
+        ["w1", "w2"], alias="cnt").materialize()
     uni = agg.grouped_count(
         base.map_batches(unigrams, batch_format="pyarrow"),
-        ["t"], alias="c", high_cardinality=True).materialize()
+        ["t"], alias="c").materialize()
     n_bi = big.sum("cnt")
     n_uni = uni.sum("c")
 
@@ -3557,7 +3545,7 @@ def corpus_continuation_counts(sf_dir: str,
     cont = agg.grouped_count(
         pairs.map_batches(lambda t: pa.table({"term": t["w2"]}),
                           batch_format="pyarrow", batch_size=None),
-        ["term"], alias="n_contexts", high_cardinality=True)
+        ["term"], alias="n_contexts")
     return cont.map_batches(
         lambda t: t.filter(pc.greater_equal(t["n_contexts"], min_cont)),
         batch_format="pyarrow", batch_size=None)

@@ -100,8 +100,7 @@ def scan_pending(in_dir: str, manifest: Manifest) -> list[tuple[str, str, dict]]
 
 def follow_ingest(sf_dir: str, out_dir: str, in_dir: str,
                   max_passes: int = 100, idle_stop: int = 2,
-                  enrich: bool = True, aggregate_each_pass: bool = False,
-                  on_pass=None) -> list[list[str]]:
+                  enrich: bool = True, on_pass=None) -> list[list[str]]:
     """Continuous ingest: the reference daemon's tail loop
     (/root/reference/src/parse_logs.rs:306-379) re-stated for a landing
     zone.  Each pass scans ``in_dir`` for pending shards (new files, or
@@ -115,8 +114,8 @@ def follow_ingest(sf_dir: str, out_dir: str, in_dir: str,
     shards mid-run); returning False stops the loop.  Returns the list of
     shard ids processed per pass.
 
-    The per-pass aggregate recompute is off by default (a tail loop wants
-    cheap passes; run the aggregate once at the end or on a timer)."""
+    Passes skip the aggregate recompute (a tail loop wants cheap passes;
+    run the aggregate once at the end or on a timer)."""
     history: list[list[str]] = []
     idle = 0
     for p in range(max_passes):
@@ -126,8 +125,7 @@ def follow_ingest(sf_dir: str, out_dir: str, in_dir: str,
         if pending:
             idle = 0
             run_ingest(sf_dir, out_dir, in_dir=in_dir, enrich=enrich,
-                       stop_after_shard=None if aggregate_each_pass
-                       else len(pending) - 1)
+                       stop_after_shard=len(pending) - 1)
         else:
             idle += 1
         history.append(ids)

@@ -358,9 +358,8 @@ def returned_items_report(sf_dir: str, k: int = 20) -> rd.Dataset:
 def events_hourly_heatmap(sf_dir: str) -> rd.Dataset:
     """Calendar heatmap: event counts per (ISO day-of-week, hour) — the
     7x24 activity matrix.  Bucketing fuses into the pruned read (one
-    int32 pair per row leaves the scan) and the 168-key space takes the
-    guarded small-keyspace fold: one partial row per (cell, block), no
-    exchange.  dow follows SQL isodow (Mon=1..Sun=7)."""
+    int32 pair per row leaves the scan) and the 168-key space's partials
+    (one row per (cell, block)) fold on the driver, no exchange.  dow follows SQL isodow (Mon=1..Sun=7)."""
     from ..stages import aggregate as agg
     ds = read_table(sf_dir, "events", columns=["ts"])
 
@@ -372,8 +371,7 @@ def events_hourly_heatmap(sf_dir: str) -> rd.Dataset:
 
     cells_ds = ds.map_batches(cells, batch_format="pyarrow",
                               batch_size=None)
-    return agg.grouped_count(cells_ds, ["dow", "hour"],
-                             small_keyspace=True)
+    return agg.grouped_count(cells_ds, ["dow", "hour"])
 
 
 CHURN_IDLE_US = 24 * 3600 * 1_000_000   # churn = idle >= 1 day at corpus end
@@ -390,8 +388,8 @@ def churned_users(sf_dir: str) -> rd.Dataset:
     Output: (user_id, last_ts)."""
     from ..stages import aggregate as agg
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    last = agg.grouped_max(ds, ["user_id"], "ts", alias="last_ts",
-                           high_cardinality=True).materialize()
+    last = agg.grouped_max(ds, ["user_id"], "ts",
+                           alias="last_ts").materialize()
     wm = last.max("last_ts")
     cut = pd.Timestamp(wm) - pd.Timedelta(microseconds=CHURN_IDLE_US)
     return last.map_batches(
@@ -913,8 +911,7 @@ def user_funnel_counts(sf_dir: str) -> rd.Dataset:
 
     partials = _by_key_blocks(ds, ["user_id"]).map_batches(
         stages, batch_format="pyarrow", batch_size=None)
-    out = grouped_sum(partials, ["stage"], "n", alias="n_users",
-                      small_keyspace=True)
+    out = grouped_sum(partials, ["stage"], "n", alias="n_users")
     return out.sort("stage")
 
 
@@ -940,8 +937,7 @@ def events_retention_cohorts(sf_dir: str) -> rd.Dataset:
 
     su = grouped_min(ev.map_batches(signups, batch_format="pyarrow",
                                     batch_size=None),
-                     ["user_id"], "ts", alias="signup_ts",
-                     high_cardinality=True).materialize()
+                     ["user_id"], "ts", alias="signup_ts").materialize()
     nparts = _num_partitions(ev)
     joined = lookup_join(ev, su, "user_id", "user_id", nparts=nparts)
 
@@ -1023,8 +1019,8 @@ def events_value_histogram(sf_dir: str) -> rd.Dataset:
     the cheap precursor to the quantile sketches): bucket =
     floor(value / width) with a power-of-two width so the division is
     bit-exact in engine and SQL alike.  Bucketing fuses into the pruned
-    read's map; counts ride the small-keyspace grouped fold (the bucket
-    space is value-range / width, ~21 cells here)."""
+    read's map; counts ride the grouped count fold (the bucket space is
+    value-range / width, ~21 cells here)."""
     from ..stages import aggregate as agg
     ev = read_table(sf_dir, "events", columns=["value"])
 
@@ -1035,7 +1031,7 @@ def events_value_histogram(sf_dir: str) -> rd.Dataset:
 
     return agg.grouped_count(ev.map_batches(bucketize,
                                             batch_format="pyarrow"),
-                             ["bucket"], small_keyspace=True).sort("bucket")
+                             ["bucket"]).sort("bucket")
 
 
 def nation_balance_full_join(sf_dir: str) -> rd.Dataset:
@@ -1522,8 +1518,7 @@ def user_retention_cohorts(sf_dir: str) -> rd.Dataset:
         ["user_id"]).map_batches(fold, batch_format="pyarrow",
                                  batch_size=None)
     return agg.grouped_sum(partials, ["cohort_week", "week_offset"],
-                           "n_users", alias="n_users",
-                           small_keyspace=True) \
+                           "n_users", alias="n_users") \
         .sort(["cohort_week", "week_offset"])
 
 
@@ -1839,7 +1834,7 @@ def events_type_drift_scores(sf_dir: str) -> rd.Dataset:
     folded = agg.grouped_max(
         ds.map_batches(block_drift, batch_format="pyarrow",
                        batch_size=None),
-        ["event_type"], "d", alias="d", small_keyspace=True).to_pandas()
+        ["event_type"], "d", alias="d").to_pandas()
     folded = folded.sort_values("event_type").reset_index(drop=True)
     return rd.from_arrow(pa.table({
         "event_type": pa.array(folded["event_type"], pa.string()),
@@ -1881,8 +1876,7 @@ def events_ab_conversion_ztest(sf_dir: str) -> rd.Dataset:
 
     conv = agg.grouped_max(
         ds.map_batches(flag, batch_format="pyarrow", batch_size=None),
-        ["user_id"], "c", alias="converted",
-        high_cardinality=True).to_pandas()
+        ["user_id"], "c", alias="converted").to_pandas()
     empty = pa.table({k: pa.array([], pa.int64())
                       for k in ["n_a", "conv_a", "n_b", "conv_b"]} |
                      {k: pa.array([], pa.float64())
@@ -1976,7 +1970,7 @@ def fk_integrity_audit(sf_dir: str) -> rd.Dataset:
             lambda b, sh=EDGE_SHIFT: pa.table({"edge_idx": pa.array(
                 b["fused"].to_numpy(zero_copy_only=False) >> sh)}),
             batch_format="pyarrow", batch_size=None),
-        ["edge_idx"], small_keyspace=True))
+        ["edge_idx"]))
     viol = {int(e.as_py()): int(c.as_py())
             for e, c in zip(cnt["edge_idx"], cnt["cnt"])} \
         if cnt.num_rows else {}
@@ -2273,8 +2267,7 @@ def user_behavior_entropy(sf_dir: str) -> rd.Dataset:
     from ..pipelines.streaming import _by_key_blocks
     from ..stages import aggregate as agg
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
-    counts = agg.grouped_count(ds, ["user_id", "event_type"], alias="c",
-                               high_cardinality=True)
+    counts = agg.grouped_count(ds, ["user_id", "event_type"], alias="c")
 
     def block_entropy(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -2757,7 +2750,7 @@ def order_priority_exists_counts(sf_dir: str) -> rd.Dataset:
     existence probe never joins rows: returned lineitems reduce to a
     DISTINCT orderkey set (per-block distinct combiner before the ONE hash
     exchange), the size-aware ``semi_join`` keeps qualifying orders, and
-    the 5-key priority count is the guarded small-keyspace fold.
+    the 5-key priority count is one grouped count fold.
     Generalizes the reference's filtered-count reports
     (/root/reference/src/parse_opts.rs:208-233) to an EXISTS gate."""
     from ..stages.dedup import distinct_rows
@@ -5323,11 +5316,10 @@ def events_partition_skew(sf_dir: str,
 
     pu = ds.map_batches(part, batch_format="pyarrow", batch_size=None) \
         .materialize()
-    rows = agg.grouped_count(pu, ["partition"], alias="n_rows",
-                             small_keyspace=True).to_pandas()
+    rows = agg.grouped_count(pu, ["partition"], alias="n_rows").to_pandas()
     users = agg.grouped_count(
         distinct_rows(pu, ["partition", "user_id"]),
-        ["partition"], alias="n_users", small_keyspace=True).to_pandas()
+        ["partition"], alias="n_users").to_pandas()
     empty = pa.table({"partition": pa.array([], pa.int64()),
                       "n_rows": pa.array([], pa.int64()),
                       "n_users": pa.array([], pa.int64()),
@@ -5369,7 +5361,7 @@ def events_benford_audit(sf_dir: str) -> rd.Dataset:
     leading digit follow log10(1 + 1/d)?).  Digit extraction is
     INTEGER-ONLY (repeated //10 on cents, never float log10) so engine
     and oracle agree bit-for-bit on the bins; each block folds a 9-bin
-    count (small-keyspace — one partial row per digit per block), the
+    count (one partial row per digit per block), the
     chi-square pieces finish on the 9-row fold.  Output (digit, cnt,
     freq, expected, chi2_term) round-6 by digit."""
     from ..stages import aggregate as agg
@@ -5466,5 +5458,5 @@ def events_distinct_users_by_type(sf_dir: str) -> rd.Dataset:
         read_table(sf_dir, "events", columns=["event_type", "user_id"]),
         ["event_type", "user_id"])
     from ..stages import aggregate as agg
-    return agg.grouped_count(pairs, ["event_type"], alias="n_users",
-                             small_keyspace=True).sort("event_type")
+    return agg.grouped_count(pairs, ["event_type"],
+                             alias="n_users").sort("event_type")

@@ -123,7 +123,7 @@ def messages(sf_dir: str) -> rd.Dataset:
 
 def route_counts(sf_dir: str) -> rd.Dataset:
     """Per-service routed row counts (router conformance aggregate)."""
-    return agg.grouped_count(parsed(sf_dir), ["service"], small_keyspace=True)
+    return agg.grouped_count(parsed(sf_dir), ["service"])
 
 
 def parsed_dedup(sf_dir: str) -> rd.Dataset:
@@ -186,8 +186,7 @@ def country_counts(sf_dir: str) -> rd.Dataset:
     """A1/A2 + J2: inner-join enrich then per-country count, sorted desc
     (deterministic country asc tie-break).  Uses the projection-pushed
     parse (only `host` leaves the router)."""
-    return agg.grouped_count(_host_counts_inner(sf_dir), ["country"],
-                             small_keyspace=True).sort(
+    return agg.grouped_count(_host_counts_inner(sf_dir), ["country"]).sort(
         ["cnt", "country"], descending=[True, False])
 
 
@@ -210,7 +209,7 @@ def top10_countries(sf_dir: str) -> rd.Dataset:
     """O2/O3: top-10 attack countries (reference take(10),
     src/parse_opts.rs:228-229)."""
     return agg.top_k(agg.grouped_count(_host_counts_inner(sf_dir),
-                                       ["country"], small_keyspace=True),
+                                       ["country"]),
                      "cnt", ["country"], 10)
 
 
@@ -218,7 +217,7 @@ def agg_conv_role_tool(sf_dir: str) -> rd.Dataset:
     """North-rule aggregate key: per-(conv_id, role, tool) turn counts over
     the raw transcripts (null tool is a group, as in SQL GROUP BY)."""
     return agg.grouped_count(read_transcripts(sf_dir),
-                             ["conv_id", "role", "tool"], high_cardinality=True)
+                             ["conv_id", "role", "tool"])
 
 
 def stream_dedup_natural_keys(sf_dir: str) -> rd.Dataset:
@@ -259,7 +258,7 @@ def year_month_hist(sf_dir: str) -> rd.Dataset:
     (/root/reference/src/polars_analysis.rs:83-93)."""
     with_ym = parsed(sf_dir).map_batches(agg.add_year_month,
                                          batch_format="pyarrow", batch_size=None)
-    return agg.grouped_count(with_ym, ["year", "month"], small_keyspace=True)
+    return agg.grouped_count(with_ym, ["year", "month"])
 
 
 def oldest_unprocessed(sf_dir: str) -> rd.Dataset:
@@ -499,8 +498,7 @@ def conversation_dedup(sf_dir: str) -> rd.Dataset:
     exact-dedup grouped-min plan keyed on the assembled text."""
     from ..stages import aggregate as agg
     sft = conversation_sft_text(sf_dir)
-    return agg.grouped_min(sft, ["sft_text"], "conv_id", alias="conv_id",
-                           high_cardinality=True)
+    return agg.grouped_min(sft, ["sft_text"], "conv_id", alias="conv_id")
 
 
 def assistant_latency_stats(sf_dir: str) -> rd.Dataset:
@@ -620,8 +618,8 @@ def role_transition_matrix(sf_dir: str) -> rd.Dataset:
     """Markov transition counts over roles: for every adjacent turn pair
     within a conversation, count (prev_role, role) — the structural
     signature of a transcript corpus (user->assistant vs tool loops).
-    One conv exchange, one grouped shift per block, then the guarded
-    small-keyspace count fold (keyspace = |roles|² ≤ ~16 rows)."""
+    One conv exchange, one grouped shift per block, then the grouped
+    count fold (keyspace = |roles|² ≤ ~16 rows)."""
     from ..pipelines.streaming import _by_key_blocks
     from ..stages import aggregate as agg
     ds = read_transcripts(sf_dir, columns=["conv_id", "turn_idx", "role"])
@@ -638,8 +636,7 @@ def role_transition_matrix(sf_dir: str) -> rd.Dataset:
 
     pairs = _by_key_blocks(ds, ["conv_id"]).map_batches(
         block, batch_format="pyarrow", batch_size=None)
-    return agg.grouped_count(pairs, ["prev_role", "role"],
-                             small_keyspace=True)
+    return agg.grouped_count(pairs, ["prev_role", "role"])
 
 
 QUALITY_MIN_TURNS = 2
@@ -712,8 +709,7 @@ def boilerplate_turns(sf_dir: str, min_convs: int = 3) -> rd.Dataset:
     unique pairs per block ever enter the shuffle.  Output (text, n_convs)."""
     ds = read_transcripts(sf_dir, columns=["conv_id", "text"])
     pairs = dd.distinct_rows(ds, ["text", "conv_id"])
-    counts = agg.grouped_count(pairs, ["text"], alias="n_convs",
-                               high_cardinality=True)
+    counts = agg.grouped_count(pairs, ["text"], alias="n_convs")
     return counts.map_batches(
         lambda b: b.filter(pc.greater_equal(b["n_convs"], min_convs)),
         batch_format="pyarrow", batch_size=None)
@@ -804,8 +800,7 @@ def host_daily_anomalies(sf_dir: str, z: int = ANOMALY_Z) -> rd.Dataset:
 
     d = parsed(sf_dir).map_batches(to_day, batch_format="pyarrow",
                                    batch_size=None)
-    counts = agg.grouped_count(d, ["host", "day"], alias="cnt",
-                               high_cardinality=True)
+    counts = agg.grouped_count(d, ["host", "day"], alias="cnt")
 
     out_schema = pa.schema([pa.field("host", pa.string()),
                             pa.field("day", pa.timestamp("us")),
@@ -870,8 +865,7 @@ def host_transition_edges(sf_dir: str) -> rd.Dataset:
 
     pairs = _by_key_blocks(rows, ["conv_id"]).map_batches(
         shift, batch_format="pyarrow", batch_size=None)
-    return agg.grouped_count(pairs, ["src", "dst"], alias="w",
-                             high_cardinality=True)
+    return agg.grouped_count(pairs, ["src", "dst"], alias="w")
 
 
 def host_pagerank(sf_dir: str, iters: int = PAGERANK_ITERS) -> rd.Dataset:
@@ -1019,10 +1013,8 @@ def trending_terms(sf_dir: str) -> rd.Dataset:
 
     pairs = tr.map_batches(explode, batch_format="pyarrow",
                            batch_size=None)
-    dc = agg.grouped_count(pairs, ["day", "term"], alias="cnt",
-                           high_cardinality=True).materialize()
-    tot = agg.grouped_sum(dc, ["term"], "cnt", alias="tot",
-                          high_cardinality=True).materialize()
+    dc = agg.grouped_count(pairs, ["day", "term"], alias="cnt").materialize()
+    tot = agg.grouped_sum(dc, ["term"], "cnt", alias="tot").materialize()
     d_days = distinct_rows(dc, ["day"]).count()
     j = lookup_join(dc, tot, "term", "term",
                     nparts=_num_partitions(dc))
@@ -1042,8 +1034,7 @@ def route_rollup(sf_dir: str) -> rd.Dataset:
     ``agg.grouped_count_rollup`` (the reference runs these as separate
     count queries per dashboard panel, src/security_log_http.rs handlers;
     one ROLLUP pass replaces three scans)."""
-    return agg.grouped_count_rollup(parsed(sf_dir), ["service", "server"],
-                                    small_keyspace=True)
+    return agg.grouped_count_rollup(parsed(sf_dir), ["service", "server"])
 
 
 def route_cube(sf_dir: str) -> rd.Dataset:
@@ -1052,8 +1043,7 @@ def route_cube(sf_dir: str) -> rd.Dataset:
     ``agg.grouped_count_cube`` (ROLLUP can't produce the per-server slice
     without a second scan; CUBE folds all 2^k sets from the same in-batch
     partial)."""
-    return agg.grouped_count_cube(parsed(sf_dir), ["service", "server"],
-                                  small_keyspace=True)
+    return agg.grouped_count_cube(parsed(sf_dir), ["service", "server"])
 
 
 MESSAGE_LEVELS = ["debug", "info", "warn", "error"]
@@ -1158,8 +1148,7 @@ def enriched_scd_counts(sf_dir: str) -> rd.Dataset:
         batch_format="pyarrow", batch_size=None)
     joined = interval_join(left, rd.from_arrow(dim), "host", "datetime",
                            "lo", "hi", right_payload=["code"])
-    return agg.grouped_count(joined, ["code"],
-                             small_keyspace=True).sort("code")
+    return agg.grouped_count(joined, ["code"]).sort("code")
 
 
 _PREF_SCHEMA = pa.schema([("prompt", pa.string()),
@@ -1387,8 +1376,8 @@ def conversation_decontaminate(sf_dir: str) -> rd.Dataset:
         batch_format="pyarrow", batch_size=None)
     hits = semi_join(train_g, eval_g, "g", "g",
                      nparts=_join_parts(sf_dir))
-    return agg.grouped_count(hits, ["conv_id"], alias="n_shared",
-                             high_cardinality=True).sort("conv_id")
+    return agg.grouped_count(hits, ["conv_id"],
+                             alias="n_shared").sort("conv_id")
 
 
 def tool_cooccurrence_pairs(sf_dir: str, k: int = 20) -> rd.Dataset:
@@ -1431,8 +1420,7 @@ def tool_association_rules(sf_dir: str, k: int = 10) -> rd.Dataset:
         .map_batches(lambda b: b.filter(pc.is_valid(b["tool"])),
                      batch_format="pyarrow", batch_size=None)
     tt = distinct_rows(base, ["conv_id", "tool"]).materialize()
-    singles = agg.grouped_count(tt, ["tool"], alias="s1",
-                                small_keyspace=True).materialize()
+    singles = agg.grouped_count(tt, ["tool"], alias="s1").materialize()
     pair_counts = _tool_pair_counts(tt, _num_partitions(base))
 
     def emit(b: pa.Table) -> pa.Table:

@@ -185,7 +185,7 @@ def session_bounce_rate(sf_dir: str,
     """Daily BOUNCE RATE: share of sessions (by start day) with exactly
     one event — the engagement-quality metric next to the session count.
     Reuses ``sessionize`` verbatim; the per-day fold is calendar-sized
-    (two small-keyspace counts fused into one pass over the session
+    (two small counts fused into one pass over the session
     stream).  Output (day, sessions, bounces, bounce_rate round 6)."""
     from ..functions.util import round_half_up
     sess = sessionize(sf_dir, gap_s)

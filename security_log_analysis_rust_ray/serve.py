@@ -346,7 +346,7 @@ class AppState:
                         b["datetime"],
                         pa.scalar(lo).cast(pa.timestamp("us")))),
                     batch_format="pyarrow", batch_size=None)
-        counts = agg.grouped_count(ds, ["country"], small_keyspace=True) \
+        counts = agg.grouped_count(ds, ["country"]) \
             .sort(["cnt", "country"], descending=[True, False]).to_pandas()
         rows = ",".join(f'["{r.country}", {r.cnt}]'
                         for r in counts.itertuples())

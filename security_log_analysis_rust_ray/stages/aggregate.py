@@ -3,10 +3,16 @@
 The reference's own Parquet analytics path already demonstrates
 partial-then-final aggregation (per-file group_by count, vstack, re-group sum
 — /root/reference/src/polars_analysis.rs:222-284).  Here the partial happens
-*inside* ``map_batches`` via Arrow's in-batch hash groupby, so the wide
-``groupby`` shuffle only ever moves one row per (key, block) — this is also
-the salted-key answer to hot-key skew: a hot key contributes at most
+*inside* ``map_batches`` via Arrow's in-batch hash groupby, so the final
+combine only ever sees one row per (key, block) — this is also the
+salted-key answer to hot-key skew: a hot key contributes at most
 ``num_blocks`` partial rows regardless of its row count.
+
+Every grouped aggregate finishes in ``_grouped_fold``, which picks its final
+combine from the size of the materialized partials: within
+``Config.broadcast_max_bytes`` they are combined on the driver (the
+reference's vstack + re-group), beyond it they are hash-repartitioned on the
+keys and folded per block.  Callers never choose.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 _NULL_SENTINEL = "\x00__null__"
 
@@ -38,155 +43,112 @@ def _restore(batch: pa.Table, cols: list[str]) -> pa.Table:
     return batch
 
 
-def grouped_count(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
-                  high_cardinality: bool = False,
-                  small_keyspace: bool = False) -> rd.Dataset:
+def grouped_count(ds: rd.Dataset, keys: list[str],
+                  alias: str = "cnt") -> rd.Dataset:
     """groupby(keys).count() with per-batch partial counts (combiner first).
 
     Null key values group together (matching SQL GROUP BY), via sentinel fill.
-
-    ``high_cardinality=True`` switches the final exchange from the sort-based
-    aggregate to hash-repartition + per-block Arrow sum — 3x faster when the
-    partial rows barely compress (millions of distinct keys); the sort path
-    wins for small key spaces (it emits globally sorted tiny output).
     """
     def partial(b: pa.Table) -> pa.Table:
         b = _fill(b.select(keys), keys)
         g = b.group_by(keys).aggregate([([], "count_all")])
-        return g.rename_columns(keys + ["_partial"])
+        return g.rename_columns(keys + [alias])
 
-    return _grouped_fold(ds, keys, partial, alias,
-                         high_cardinality, small_keyspace)
+    return _grouped_fold(ds, keys, partial, [(alias, "sum")])
 
 
 def grouped_sum(ds: rd.Dataset, keys: list[str], value_col: str,
-                alias: str = "sum",
-                high_cardinality: bool = False,
-                small_keyspace: bool = False) -> rd.Dataset:
+                alias: str = "sum") -> rd.Dataset:
     """groupby(keys).sum(value_col) with the same partial/final combiner
-    plan as ``grouped_count`` — the in-batch Arrow partial means the
-    exchange moves one row per (key, block), and ``high_cardinality=True``
-    swaps the sort-based final for hash-repartition + per-block sum (the
-    term-count "LM training" fold in ``doc_lm_score`` went 27 s -> ~2 s on
-    the 100k bench corpus with this path vs the native sort groupby)."""
+    plan as ``grouped_count`` — the in-batch Arrow partial means the final
+    combine sees one row per (key, block)."""
     def partial(b: pa.Table) -> pa.Table:
         b = _fill(b.select(keys + [value_col]), keys)
         g = b.group_by(keys).aggregate([(value_col, "sum")])
-        return g.rename_columns(keys + ["_partial"])
+        return g.rename_columns(keys + [alias])
 
-    return _grouped_fold(ds, keys, partial, alias,
-                         high_cardinality, small_keyspace)
+    return _grouped_fold(ds, keys, partial, [(alias, "sum")])
 
 
-def _grouped_fold(ds: rd.Dataset, keys: list[str], partial, alias: str,
-                  high_cardinality: bool, small_keyspace: bool,
-                  combine: str = "sum") -> rd.Dataset:
-    """Shared final-exchange plan under ``grouped_count``/``grouped_sum``/
-    ``grouped_min``: ``partial`` emits (keys + "_partial") per batch; the
-    final folds "_partial" per key with ``combine`` ("sum" or "min" — both
-    are associative+commutative, so the partial/final split is exact) via
-    driver combine (guarded small keyspace), hash-repartition + per-block
-    fold (high cardinality), or the sort-based aggregate (default)."""
-    if small_keyspace:
-        # guard (VERDICT r01): partial rows scale with BLOCK COUNT, so the
-        # driver-side final combine is only safe while the input (hence its
-        # block count) is bounded; past ~64 GB estimated input, fall back to
-        # the distributed final even if the caller claimed a small keyspace
-        from .dedup import _estimate_bytes
-        est = _estimate_bytes(ds)
-        if est is not None and est > (64 << 30):
-            small_keyspace = False
-    if small_keyspace:
-        # the partial stage has already reduced the data to one row per
-        # (key, block); for a SMALL key space (e.g. 26 countries) the final
-        # combine is a tiny vstack + re-aggregate — the reference's own A2
-        # final step (/root/reference/src/polars_analysis.rs:222-241).
-        # Collecting a few hundred partial rows driver-side avoids the fixed
-        # multi-second cost of a distributed shuffle for a 26-row result.
-        import ray
-        pre = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        # empty blocks arrive as ZERO-COLUMN tables (parallelism-dependent)
-        # — or, downstream of a pandas-block stage, as raw zero-row pandas
-        # frames that to_arrow_refs passes through unconverted — drop both
-        # before concat
-        import pandas as _pd
-        blocks = []
-        for t in ray.get(list(pre.to_arrow_refs())):
-            if isinstance(t, _pd.DataFrame):
-                if not len(t):
-                    continue
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            if t.num_rows > 0:
-                blocks.append(t)
-        if not blocks:
-            empty = pa.table(
-                {**{k: pa.array([], pa.string()) for k in keys},
-                 alias: pa.array([], pa.int64())})
-            return rd.from_arrow(empty)
-        t = pa.concat_tables(blocks)
-        g = t.group_by(keys).aggregate([("_partial", combine)])
-        g = g.rename_columns(keys + [alias])
-        return rd.from_arrow(_restore(g, keys))
+def _grouped_fold(ds: rd.Dataset, keys: list[str], partial,
+                  aggs: list[tuple[str, str]]) -> rd.Dataset:
+    """The one final combine under every grouped aggregate here.
 
-    if high_cardinality:
+    ``partial`` maps a batch to keys + the partial columns named in
+    ``aggs``; each (column, combine) pair folds that column per key with an
+    associative+commutative Arrow hash aggregate ("sum", "min", "max"), so
+    the partial/final split is exact.  The partials are materialized, and
+    their size picks the final: within ``Config.broadcast_max_bytes`` the
+    driver concatenates and re-groups them (the reference's A2 final step,
+    src/polars_analysis.rs:222-241 — no exchange for a 26-row result);
+    beyond it they are hash-repartitioned on ``keys`` and each block is
+    folded on its own.  Output: keys + the ``aggs`` columns, null keys
+    restored."""
+    import ray
+
+    from ..config import get_config
+    names = [c for c, _ in aggs]
+
+    def final(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys).aggregate(aggs)
+        return _restore(g.rename_columns(keys + names), keys)
+
+    pre = ds.map_batches(partial, batch_format="pyarrow",
+                         batch_size=None).materialize()
+    if pre.size_bytes() > get_config().broadcast_max_bytes:
         from .dedup import _num_partitions, _use_hash_shuffle
-
-        def final_block(b: pa.Table) -> pa.Table:
-            g = b.group_by(keys).aggregate([("_partial", combine)])
-            return g.rename_columns(keys + [alias])
-
-        pre = _use_hash_shuffle(ds).map_batches(
-            partial, batch_format="pyarrow", batch_size=None)
-        out = pre.repartition(num_blocks=_num_partitions(ds), keys=keys) \
-                 .map_batches(final_block, batch_format="pyarrow",
-                              batch_size=None)
-    else:
-        pre = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        # if this chain inherited HASH_SHUFFLE (e.g. from an upstream join),
-        # cap the hash-aggregate partition count to the data-sized value —
-        # Ray's 200-partition default starves small CPU budgets
-        from ray.data.context import ShuffleStrategy
-        if pre.context.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE:
-            from .dedup import _num_partitions
-            pre.context.default_hash_shuffle_parallelism = _num_partitions(ds)
-        from ray.data.aggregate import Max, Min
-        agg_cls = {"sum": Sum, "min": Min, "max": Max}[combine]
-        out = pre.groupby(keys).aggregate(agg_cls("_partial",
-                                                  alias_name=alias))
-    return out.map_batches(lambda b: _restore(b, keys), batch_format="pyarrow",
-                           batch_size=None)
+        return _use_hash_shuffle(pre).repartition(
+            num_blocks=_num_partitions(ds), keys=keys) \
+            .map_batches(final, batch_format="pyarrow", batch_size=None)
+    # empty blocks arrive as ZERO-COLUMN tables (parallelism-dependent) —
+    # or, downstream of a pandas-block stage, as raw zero-row pandas frames
+    # that to_arrow_refs passes through unconverted — drop both before concat
+    import pandas as _pd
+    blocks = []
+    for t in ray.get(list(pre.to_arrow_refs())):
+        if isinstance(t, _pd.DataFrame):
+            if not len(t):
+                continue
+            t = pa.Table.from_pandas(t, preserve_index=False)
+        if t.num_rows > 0:
+            blocks.append(t)
+    if not blocks:
+        # no partial rows: run ``partial`` on an empty batch of the input's
+        # schema so keys and values keep their types
+        base = getattr(ds.schema(), "base_schema", None)
+        blocks = [partial(base.empty_table()) if isinstance(base, pa.Schema)
+                  else pa.table({**{k: pa.array([], pa.string())
+                                    for k in keys},
+                                 **{n: pa.array([], pa.int64())
+                                    for n in names}})]
+    return rd.from_arrow(final(pa.concat_tables(
+        blocks, promote_options="permissive")))
 
 
 def grouped_min(ds: rd.Dataset, keys: list[str], value_col: str,
-                alias: str = "min",
-                high_cardinality: bool = False,
-                small_keyspace: bool = False) -> rd.Dataset:
+                alias: str = "min") -> rd.Dataset:
     """groupby(keys).min(value_col) with the same partial/final combiner
     plan as ``grouped_count`` — min is associative+commutative so the
-    in-batch partial is exact, and the exchange moves one row per
+    in-batch partial is exact, and the final combine sees one row per
     (key, block)."""
     def partial(b: pa.Table) -> pa.Table:
         b = _fill(b.select(keys + [value_col]), keys)
         g = b.group_by(keys).aggregate([(value_col, "min")])
-        return g.rename_columns(keys + ["_partial"])
+        return g.rename_columns(keys + [alias])
 
-    return _grouped_fold(ds, keys, partial, alias,
-                         high_cardinality, small_keyspace, combine="min")
+    return _grouped_fold(ds, keys, partial, [(alias, "min")])
 
 
 def grouped_max(ds: rd.Dataset, keys: list[str], value_col: str,
-                alias: str = "max",
-                high_cardinality: bool = False,
-                small_keyspace: bool = False) -> rd.Dataset:
+                alias: str = "max") -> rd.Dataset:
     """groupby(keys).max(value_col) — ``grouped_min``'s mirror (max is
     associative+commutative, partial/final split exact)."""
     def partial(b: pa.Table) -> pa.Table:
         b = _fill(b.select(keys + [value_col]), keys)
         g = b.group_by(keys).aggregate([(value_col, "max")])
-        return g.rename_columns(keys + ["_partial"])
+        return g.rename_columns(keys + [alias])
 
-    return _grouped_fold(ds, keys, partial, alias,
-                         high_cardinality, small_keyspace, combine="max")
+    return _grouped_fold(ds, keys, partial, [(alias, "max")])
 
 
 def top_k(ds: rd.Dataset, sort_col: str, keys_asc: list[str], k: int) -> rd.Dataset:
@@ -264,16 +226,14 @@ def add_year_month(batch: pa.Table) -> pa.Table:
 
 
 def grouped_count_rollup(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
-                         grp_col: str = "grp_id",
-                         high_cardinality: bool = False,
-                         small_keyspace: bool = False) -> rd.Dataset:
+                         grp_col: str = "grp_id") -> rd.Dataset:
     """GROUP BY ROLLUP(keys) counts — every trailing-prefix grouping level
-    in ONE pass / one exchange (the reference reports per-(service,server)
+    in ONE pass / one final combine (the reference reports per-(service,server)
     AND per-service totals as separate queries; a 100-TB corpus can't
     afford a scan per level).  Per batch: one in-batch full-key count,
     then each coarser level folds from that already-tiny partial (never
-    re-touching the batch rows); all levels union into the same exchange,
-    keyed by (keys..., ``grp_col``).  ``grp_col`` follows SQL
+    re-touching the batch rows); all levels union into the same final
+    combine, keyed by (keys..., ``grp_col``).  ``grp_col`` follows SQL
     ``GROUPING(keys...)`` bit semantics (trailing-roll levels: 0, 1, 3,
     ...), so rolled cells (emitted NULL) can never collide with genuine
     null key values at a different level.  String keys only (the sentinel
@@ -307,26 +267,23 @@ def grouped_count_rollup(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
                                    pa.string())
             cols[grp_col] = pa.array([(1 << level) - 1] * gl.num_rows,
                                      pa.int64())
-            cols["_partial"] = pc.cast(gl["n"], pa.int64())
+            cols[alias] = pc.cast(gl["n"], pa.int64())
             outs.append(pa.table(cols))
         live = [t for t in outs if t.num_rows]
         if not live:
             return pa.table(
                 {**{k: pa.array([], pa.string()) for k in keys},
                  grp_col: pa.array([], pa.int64()),
-                 "_partial": pa.array([], pa.int64())})
+                 alias: pa.array([], pa.int64())})
         return pa.concat_tables(live)
 
-    return _grouped_fold(ds, full, partial, alias,
-                         high_cardinality, small_keyspace)
+    return _grouped_fold(ds, full, partial, [(alias, "sum")])
 
 
 def grouped_count_cube(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
-                       grp_col: str = "grp_id",
-                       high_cardinality: bool = False,
-                       small_keyspace: bool = False) -> rd.Dataset:
+                       grp_col: str = "grp_id") -> rd.Dataset:
     """GROUP BY CUBE(keys) counts — ALL 2^k grouping sets in one pass /
-    one exchange (ROLLUP's trailing-prefix levels generalized to every
+    one final combine (ROLLUP's trailing-prefix levels generalized to every
     subset; the dashboard shape "totals by service, by server, by pair,
     and overall" without four scans).  Per batch: one in-batch full-key
     count, then each of the 2^k subsets folds from that already-tiny
@@ -363,18 +320,17 @@ def grouped_count_cube(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
                     cols[k] = pa.array([_NULL_SENTINEL] * gl.num_rows,
                                        pa.string())
             cols[grp_col] = pa.array([mask] * gl.num_rows, pa.int64())
-            cols["_partial"] = pc.cast(gl["n"], pa.int64())
-            outs.append(pa.table(cols).select(full + ["_partial"]))
+            cols[alias] = pc.cast(gl["n"], pa.int64())
+            outs.append(pa.table(cols).select(full + [alias]))
         live = [t for t in outs if t.num_rows]
         if not live:
             return pa.table(
                 {**{k: pa.array([], pa.string()) for k in keys},
                  grp_col: pa.array([], pa.int64()),
-                 "_partial": pa.array([], pa.int64())})
+                 alias: pa.array([], pa.int64())})
         return pa.concat_tables(live)
 
-    return _grouped_fold(ds, full, partial, alias,
-                         high_cardinality, small_keyspace)
+    return _grouped_fold(ds, full, partial, [(alias, "sum")])
 
 
 def pivot_counts(ds: rd.Dataset, key: str, col: str,
@@ -384,8 +340,8 @@ def pivot_counts(ds: rd.Dataset, key: str, col: str,
     fixed up front; unseen values produce all-zero columns, values outside
     the list are NOT counted).  Same combiner discipline as
     ``grouped_count``: the per-batch hash count collapses the batch to one
-    row per (key, col) BEFORE the local pivot, so the exchange moves at
-    most len(values) ints per (key, block).  SQL equivalent:
+    row per (key, col) BEFORE the local pivot, so the final combine sees
+    at most len(values) ints per (key, block).  SQL equivalent:
     ``count(*) FILTER (WHERE col = v) AS v`` per value."""
     names = [alias_fmt.format(v=v) for v in values]
 
@@ -401,15 +357,12 @@ def pivot_counts(ds: rd.Dataset, key: str, col: str,
         out = wide.group_by([key]).aggregate([(nm, "sum") for nm in names])
         return out.rename_columns([key] + names)
 
-    pre = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    out = pre.groupby(key).aggregate(
-        *[Sum(nm, alias_name=nm) for nm in names])
+    out = _grouped_fold(ds, [key], partial, [(nm, "sum") for nm in names])
 
     def finish(b: pa.Table) -> pa.Table:
-        cols = {key: b[key]}
-        for nm in names:
-            cols[nm] = pc.cast(pc.fill_null(b[nm], 0), pa.int64())
-        return _restore(pa.table(cols), [key])
+        # a key whose rows all have a null ``col`` sums to null: count 0
+        return pa.table({key: b[key], **{nm: pc.fill_null(b[nm], 0)
+                                         for nm in names}})
     return out.map_batches(finish, batch_format="pyarrow", batch_size=None)
 
 
@@ -417,7 +370,7 @@ def grouped_stats(ds: rd.Dataset, keys: list[str], value_col: str,
                   round_to: int = 6) -> rd.Dataset:
     """Per-group (n, mean, std, min, max) in ONE pass via the classic
     mergeable-moments fold: each batch emits (n, Σv, Σv², min, max) per
-    key, the final exchange sums/extremizes them, and mean/sample-std
+    key, the final combine sums/extremizes them, and mean/sample-std
     derive at the end (std = sqrt((Σv² − (Σv)²/n)/(n−1)), null for n<2 —
     SQL stddev_samp semantics).  Exactly the reference's A6 EmailStats
     fold generalized to grouped form (src/ses_client.rs:68-109 folds one
@@ -436,17 +389,14 @@ def grouped_stats(ds: rd.Dataset, keys: list[str], value_col: str,
             (value_col, "min"), (value_col, "max")])
         return g.rename_columns(keys + ["_n", "_s", "_ss", "_min", "_max"])
 
-    pre = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    from ray.data.aggregate import Max, Min
-    out = pre.groupby(keys).aggregate(
-        Sum("_n", alias_name="n_f"), Sum("_s", alias_name="s"),
-        Sum("_ss", alias_name="ss"), Min("_min", alias_name="min_v"),
-        Max("_max", alias_name="max_v"))
+    out = _grouped_fold(ds, keys, partial, [
+        ("_n", "sum"), ("_s", "sum"), ("_ss", "sum"), ("_min", "min"),
+        ("_max", "max")])
 
     def finish(b: pa.Table) -> pa.Table:
-        n = b["n_f"].to_numpy(zero_copy_only=False).astype(np.float64)
-        s = b["s"].to_numpy(zero_copy_only=False)
-        ss = b["ss"].to_numpy(zero_copy_only=False)
+        n = b["_n"].to_numpy(zero_copy_only=False).astype(np.float64)
+        s = b["_s"].to_numpy(zero_copy_only=False)
+        ss = b["_ss"].to_numpy(zero_copy_only=False)
         mean = s / n
         with np.errstate(invalid="ignore"):
             var = np.where(n > 1, (ss - s * s / n) / (n - 1), np.nan)
@@ -457,13 +407,13 @@ def grouped_stats(ds: rd.Dataset, keys: list[str], value_col: str,
             "mean": pa.array(round_half_up(mean, round_to)),
             "std": pa.array(np.where(np.isnan(std), np.nan,
                                      round_half_up(std, round_to))),
-            "min_v": b["min_v"], "max_v": b["max_v"],
+            "min_v": b["_min"], "max_v": b["_max"],
         })
         if t.num_rows:
             mask = pa.array(~np.isnan(std))
             i = t.schema.get_field_index("std")
             t = t.set_column(i, "std", pc.if_else(
                 mask, t["std"], pa.nulls(t.num_rows, pa.float64())))
-        return _restore(t, keys)
+        return t
 
     return out.map_batches(finish, batch_format="pyarrow", batch_size=None)

@@ -62,8 +62,7 @@ def _restore_sentinel(batch: pa.Table, cols: list[str]) -> pa.Table:
 def _use_hash_shuffle(ds: rd.Dataset, nparts: int | None = None) -> rd.Dataset:
     """Key-based repartition requires HASH_SHUFFLE; each Dataset chain
     carries its own DataContext snapshot (`ds.context`), so setting it here
-    scopes the strategy to THIS plan — groupby aggregates elsewhere keep the
-    (faster-for-small-key-spaces) sort-based shuffle.
+    scopes the strategy to THIS plan, not to other plans in the process.
 
     Also caps ``default_hash_shuffle_parallelism`` to the data-sized
     partition count: Ray's default is 200 hash-aggregate partitions, whose

@@ -2,8 +2,8 @@
 
 Reference semantics (/root/reference/src/host_country_metadata.rs):
 - T1 (:22-70): both dimension tables bulk-loaded once into in-RAM maps ->
-  here: dicts built once per actor in ``__init__`` (or fetched from a
-  ``ray.put`` broadcast ref — never re-shipped per batch).
+  here: dicts built once per actor in ``__init__`` (never re-shipped per
+  batch).
 - J1/J2 (:src/polars_analysis.rs:96-107, src/reports.rs:16-31): fact x tiny
   dim joins -> broadcast hash lookup inside the batch, never a shuffle join.
 - T2 (:74-175): cache-miss resolution (whois there) -> a deterministic pure
@@ -58,21 +58,15 @@ def resolve_host(host: str) -> str | None:
 # amortization as an actor pool while letting Ray FUSE parse->enrich->partial
 # into one operator (no object-store hop between stages).  Use EnrichActor
 # below when the state is big or expensive (model weights, large dim tables).
-_FUSED: dict[bool, "EnrichActor"] = {}
+_FUSED: "EnrichActor | None" = None
 
 
 def enrich_batch(b: pa.Table) -> pa.Table:
     """Fused stateless enrich (LEFT-join semantics, J1)."""
-    if False not in _FUSED:
-        _FUSED[False] = EnrichActor(resolve_misses=False)
-    return _FUSED[False](b)
-
-
-def enrich_batch_resolving(b: pa.Table) -> pa.Table:
-    """Fused stateless enrich with miss resolution (T2)."""
-    if True not in _FUSED:
-        _FUSED[True] = EnrichActor(resolve_misses=True)
-    return _FUSED[True](b)
+    global _FUSED
+    if _FUSED is None:
+        _FUSED = EnrichActor()
+    return _FUSED(b)
 
 
 class EnrichActor:
@@ -83,12 +77,8 @@ class EnrichActor:
     ``enrich_source`` column ('dim' | 'resolved' | null).
     """
 
-    def __init__(self, resolve_misses: bool = False, dims_ref=None):
-        if dims_ref is not None:
-            import ray
-            self.host_to_code, self.code_to_country = ray.get(dims_ref)
-        else:
-            self.host_to_code, self.code_to_country = build_dims()
+    def __init__(self, resolve_misses: bool = False):
+        self.host_to_code, self.code_to_country = build_dims()
         self.resolve_misses = resolve_misses
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -259,8 +259,7 @@ def pagerank(edges: rd.Dataset, src: str = "src", dst: str = "dst",
         return rd.from_arrow(pa.table({"node": pa.array([], pa.string()),
                                        "rank": pa.array([], pa.float64())}))
 
-    out_w = grouped_sum(e, ["src"], "w", alias="out_w",
-                        high_cardinality=True).materialize()
+    out_w = grouped_sum(e, ["src"], "w", alias="out_w").materialize()
     # normalized edge weight w/out_w attaches ONCE (it never changes)
     e = lookup_join(e, out_w, "src", "src", nparts=nparts).map_batches(
         lambda t: pa.table({
@@ -321,8 +320,7 @@ def pagerank(edges: rd.Dataset, src: str = "src", dst: str = "dst",
                     "c": pc.multiply(t["nw"], t["rank"]),
                 }),
                 batch_format="pyarrow", batch_size=None)
-        summed = grouped_sum(contrib, ["node"], "c", alias="c",
-                             high_cardinality=True)
+        summed = grouped_sum(contrib, ["node"], "c", alias="c")
         if pvec is None:
             base = (1.0 - damping) / n + damping * d_mass / n
             ranks = lookup_join(nodes, summed, "node", "node",

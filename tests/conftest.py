@@ -4,6 +4,7 @@ order-insensitive comparator."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 
@@ -30,6 +31,25 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+# The two final combines of stages.aggregate._grouped_fold: partials within
+# the default Config.broadcast_max_bytes budget combine on the driver; a zero
+# budget sends any non-empty partials through the hash exchange.
+FINAL_PATHS = ("driver", "exchange")
+
+
+@contextlib.contextmanager
+def final_path(path: str):
+    """Run the grouped aggregates built inside the block on one final path."""
+    from security_log_analysis_rust_ray.config import override, set_config
+    assert path in FINAL_PATHS, path
+    prev = override(broadcast_max_bytes=0) if path == "exchange" else None
+    try:
+        yield
+    finally:
+        if prev is not None:
+            set_config(prev)
 
 
 def oracle_con(sf_dir: str) -> duckdb.DuckDBPyConnection:

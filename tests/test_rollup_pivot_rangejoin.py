@@ -4,6 +4,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from .conftest import FINAL_PATHS, final_path
+
 
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)]
@@ -29,15 +31,17 @@ def test_rollup_matches_duckdb():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_rollup_small_keyspace_path_agrees():
+def test_rollup_final_paths_agree():
     import ray.data as rd
     from security_log_analysis_rust_ray.stages.aggregate import \
         grouped_count_rollup
 
     t = pa.table({"a": ["x", "y"] * 10, "b": ["p", "q"] * 10})
     ds = rd.from_arrow(t).repartition(4)
-    a = grouped_count_rollup(ds, ["a", "b"]).to_pandas()
-    b = grouped_count_rollup(ds, ["a", "b"], small_keyspace=True).to_pandas()
+    with final_path("driver"):
+        a = grouped_count_rollup(ds, ["a", "b"]).to_pandas()
+    with final_path("exchange"):
+        b = grouped_count_rollup(ds, ["a", "b"]).to_pandas()
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b))
 
 
@@ -60,7 +64,7 @@ def test_cube_matches_duckdb():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_cube_three_keys_and_small_keyspace_agree():
+def test_cube_three_keys_final_paths_agree():
     import ray.data as rd
     from security_log_analysis_rust_ray.stages.aggregate import \
         grouped_count_cube
@@ -71,14 +75,15 @@ def test_cube_three_keys_and_small_keyspace_agree():
         "c": ["1", "2", "2"] * 8,
     })
     ds = rd.from_arrow(t).repartition(4)
-    got = grouped_count_cube(ds, ["a", "b", "c"]).to_pandas()
+    with final_path("driver"):
+        got = grouped_count_cube(ds, ["a", "b", "c"]).to_pandas()
     want = duckdb.sql(
         "SELECT a, b, c, CAST(GROUPING(a, b, c) AS BIGINT) AS grp_id,"
         " count(*) AS cnt FROM t GROUP BY CUBE(a, b, c)").df()
     pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
-    small = grouped_count_cube(ds, ["a", "b", "c"],
-                               small_keyspace=True).to_pandas()
-    pd.testing.assert_frame_equal(_sorted(got), _sorted(small))
+    with final_path("exchange"):
+        other = grouped_count_cube(ds, ["a", "b", "c"]).to_pandas()
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(other))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -90,8 +95,6 @@ def test_pivot_counts_matches_duckdb():
         "unit": ["sshd", "cron", "sshd", "cron", "sshd", None],
         "lvl": ["info", "warn", "info", "error", "debug", "info"],
     })
-    got = pivot_counts(rd.from_arrow(t).repartition(3), "unit", "lvl",
-                       ["debug", "info", "warn", "error"]).to_pandas()
     want = duckdb.sql(
         "SELECT unit,"
         " count(*) FILTER (WHERE lvl='debug') AS debug,"
@@ -99,7 +102,33 @@ def test_pivot_counts_matches_duckdb():
         " count(*) FILTER (WHERE lvl='warn') AS warn,"
         " count(*) FILTER (WHERE lvl='error') AS error"
         " FROM t GROUP BY unit").df()
-    pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
+    for path in FINAL_PATHS:
+        with final_path(path):
+            got = pivot_counts(rd.from_arrow(t).repartition(3), "unit",
+                               "lvl", ["debug", "info", "warn", "error"]
+                               ).to_pandas()
+        pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_grouped_stats_matches_duckdb():
+    import ray.data as rd
+    from security_log_analysis_rust_ray.stages.aggregate import grouped_stats
+
+    t = pa.table({
+        "k": ["a", "a", "a", "b", None, None, "c"],
+        "v": pa.array([1.0, 2.5, 4.0, 7.0, -1.0, 3.0, 0.5]),
+    })
+    want = duckdb.sql(
+        "SELECT k, count(v) AS n, round(avg(v), 6) AS mean,"
+        " round(stddev_samp(v), 6) AS std, min(v) AS min_v, max(v) AS max_v"
+        " FROM t GROUP BY k").df()
+    for path in FINAL_PATHS:
+        with final_path(path):
+            got = grouped_stats(rd.from_arrow(t).repartition(3), ["k"], "v"
+                                ).to_pandas()
+        pd.testing.assert_frame_equal(_sorted(got), _sorted(want),
+                                      check_dtype=False)
 
 
 @pytest.mark.usefixtures("ray_session")

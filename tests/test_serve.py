@@ -11,6 +11,8 @@ import urllib.request
 
 import pytest
 
+from .conftest import FINAL_PATHS, final_path
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -63,11 +65,13 @@ def test_map_script_and_attempts_pages(server):
             pc.fill_null(pc.equal(b["service"], "ssh"), False),
             pc.is_valid(b["country"]))),
         batch_format="pyarrow", batch_size=None)
-    counts = agg.grouped_count(inner, ["country"], small_keyspace=True) \
-        .to_pandas().sort_values(["cnt", "country"],
-                                 ascending=[False, True])
-    for r in counts.itertuples():
-        assert f'["{r.country}", {r.cnt}]' in html_all
+    for path in FINAL_PATHS:
+        with final_path(path):
+            counts = agg.grouped_count(inner, ["country"]) \
+                .to_pandas().sort_values(["cnt", "country"],
+                                         ascending=[False, True])
+        for r in counts.itertuples():
+            assert f'["{r.country}", {r.cnt}]' in html_all
 
 
 def test_attempts_second_hit_serves_from_ttl_cache(server):

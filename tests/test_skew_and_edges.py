@@ -11,12 +11,14 @@ from security_log_analysis_rust_ray.stages import aggregate as agg
 from security_log_analysis_rust_ray.stages import dedup as dd
 from security_log_analysis_rust_ray.stages.parse import route_parse
 
+from .conftest import FINAL_PATHS, final_path
+
 
 @pytest.mark.usefixtures("ray_session")
 def test_grouped_count_hot_key_skew():
-    """One key owns 90% of rows: both aggregate paths stay correct, and the
-    partial combiner bounds what the shuffle moves (at most one row per
-    (key, block) regardless of the hot key's row count)."""
+    """One key owns 90% of rows: both final paths stay correct, and the
+    partial combiner bounds what the final combine sees (at most one row
+    per (key, block) regardless of the hot key's row count)."""
     import ray.data as rd
     n = 200_000
     keys = np.where(np.arange(n) % 10 == 0,
@@ -25,9 +27,10 @@ def test_grouped_count_hot_key_skew():
     expected = df["k"].value_counts()
 
     ds = rd.from_pandas(df).repartition(16)
-    for kwargs in ({}, {"high_cardinality": True}, {"small_keyspace": True}):
-        out = agg.grouped_count(ds, ["k"], **kwargs).to_pandas() \
-            .set_index("k")["cnt"]
+    for path in FINAL_PATHS:
+        with final_path(path):
+            out = agg.grouped_count(ds, ["k"]).to_pandas() \
+                .set_index("k")["cnt"]
         assert out["key_0"] == expected["key_0"]
         assert out.sum() == n
         assert len(out) == 51
@@ -97,9 +100,9 @@ def test_dedup_empty_dataset():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_small_keyspace_agg_with_empty_blocks():
+def test_grouped_count_with_empty_blocks():
     """Regression: at higher parallelism some partial blocks are EMPTY
-    zero-column tables; the small_keyspace concat must skip them (found by
+    zero-column tables; the driver concat must skip them (found by
     end-to-end verification at num_cpus=8, invisible at 4)."""
     import ray.data as rd
     import pyarrow.compute as pc2
@@ -109,16 +112,32 @@ def test_small_keyspace_agg_with_empty_blocks():
     # filter one value away entirely -> several blocks become empty
     ds = ds.map_batches(lambda b: b.filter(pc2.equal(b["k"], "a")),
                         batch_format="pyarrow", batch_size=None)
-    out = agg.grouped_count(ds, ["k"], small_keyspace=True).to_pandas()
-    assert out.to_dict("records") == [{"k": "a", "cnt": 50}]
     # fully-empty input -> empty result with stable schema
     ds2 = rd.from_pandas(df).map_batches(
         lambda b: b.filter(pc2.equal(b["k"], "zzz")),
         batch_format="pyarrow", batch_size=None)
-    out2 = agg.grouped_count(ds2, ["k"], small_keyspace=True).to_pandas()
-    # (Ray drops column metadata when converting an empty Dataset to pandas;
-    # the Arrow-side schema is (k, cnt))
-    assert len(out2) == 0
+    for path in FINAL_PATHS:
+        with final_path(path):
+            out = agg.grouped_count(ds, ["k"]).to_pandas()
+        assert out.to_dict("records") == [{"k": "a", "cnt": 50}]
+    # zero-byte partials never exceed the budget, so empty input always
+    # takes the driver path (Ray drops column metadata when converting an
+    # empty Dataset to pandas; the Arrow-side schema is (k, cnt))
+    assert len(agg.grouped_count(ds2, ["k"]).to_pandas()) == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_grouped_aggregates_empty_input_keep_key_types():
+    """No partial rows: the result keeps the input's key and value types
+    (an int64 key must not come back as a string column).  Empty partials
+    have zero bytes, so this input only ever reaches the driver path."""
+    import ray.data as rd
+    ds = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
+                                 "v": pa.array([], pa.float64())}))
+    cnt = agg.grouped_count(ds, ["k"]).schema().base_schema
+    mx = agg.grouped_max(ds, ["k"], "v", alias="mx").schema().base_schema
+    assert cnt == pa.schema([("k", pa.int64()), ("cnt", pa.int64())])
+    assert mx == pa.schema([("k", pa.int64()), ("mx", pa.float64())])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -316,7 +335,7 @@ def test_sync_crashed_merge_leftover_is_ignored(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_grouped_sum_all_paths_match_pandas():
-    """grouped_sum: all three exchange paths agree with pandas groupby-sum,
+    """grouped_sum: both final paths agree with pandas groupby-sum,
     including null string keys (SQL GROUP BY groups nulls together)."""
     import ray.data as rd
     rng = np.random.RandomState(7)
@@ -327,9 +346,10 @@ def test_grouped_sum_all_paths_match_pandas():
     expected = df.groupby("k", dropna=False)["v"].sum()
 
     ds = rd.from_pandas(df).repartition(16)
-    for kwargs in ({}, {"high_cardinality": True}, {"small_keyspace": True}):
-        out = agg.grouped_sum(ds, ["k"], "v", alias="s", **kwargs) \
-            .to_pandas().set_index("k")["s"]
+    for path in FINAL_PATHS:
+        with final_path(path):
+            out = agg.grouped_sum(ds, ["k"], "v", alias="s") \
+                .to_pandas().set_index("k")["s"]
         assert len(out) == len(expected)
         assert int(out.sum()) == int(expected.sum())
         assert out["t0"] == expected["t0"]
@@ -343,11 +363,11 @@ def test_grouped_max_matches_pandas():
     df = pd.DataFrame({
         "k": rng.integers(0, 40, 5000).astype(str),
         "v": rng.normal(size=5000)})
-    for hc in (False, True):
-        got = agg.grouped_max(rd.from_pandas(df).repartition(9),
-                              ["k"], "v", alias="mx",
-                              high_cardinality=hc).to_pandas() \
-            .sort_values("k").reset_index(drop=True)
+    for path in FINAL_PATHS:
+        with final_path(path):
+            got = agg.grouped_max(rd.from_pandas(df).repartition(9),
+                                  ["k"], "v", alias="mx").to_pandas() \
+                .sort_values("k").reset_index(drop=True)
         want = df.groupby("k", as_index=False)["v"].max() \
             .rename(columns={"v": "mx"}).sort_values("k") \
             .reset_index(drop=True)
