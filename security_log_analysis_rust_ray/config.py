@@ -46,8 +46,7 @@ class Config:
     systemd_log_filters: tuple[str, ...] = _DEFAULT_SYSTEMD_LOG_FILTERS
 
     # ---- engine tuning knobs (Ray-side; previously scattered SLAR_*) ----
-    broadcast_max_bytes: int = 64 << 20    # lookup_join dim broadcast cap
-    semi_broadcast_max_bytes: int = 64 << 20  # semi/anti key-set cap (BYTES)
+    broadcast_max_bytes: int = 64 << 20    # driver/broadcast byte budget
     shuffle_partitions: int | None = None  # pin hash-exchange partitions
     target_partition_bytes: int = 256 << 20  # data-sized partition target
     max_group_pairs: int = 4_000_000       # hot-bucket pair-expansion cap
@@ -98,8 +97,8 @@ def _parse_env_file(path: str) -> dict[str, str]:
 
 
 _INT_FIELDS = {"alert_log_delay", "alert_buffer_size", "broadcast_max_bytes",
-               "semi_broadcast_max_bytes", "target_partition_bytes",
-               "max_group_pairs", "bloom_bits", "bloom_hashes"}
+               "target_partition_bytes", "max_group_pairs", "bloom_bits",
+               "bloom_hashes"}
 _OPT_INT_FIELDS = {"shuffle_partitions"}
 _LIST_FIELDS = {"systemd_log_filters"}
 

@@ -1456,7 +1456,9 @@ def _tool_pair_counts(tt: rd.Dataset, nparts: int) -> rd.Dataset:
     """(tool_a, tool_b, support) over whole-conversation blocks — the
     pair-expansion core shared by ``tool_cooccurrence_pairs`` and the
     rule miner."""
-    tt = tt.repartition(num_blocks=nparts, keys=["conv_id"])
+    from ..stages.dedup import _use_hash_shuffle
+    tt = _use_hash_shuffle(tt, nparts).repartition(num_blocks=nparts,
+                                                   keys=["conv_id"])
 
     def pairs(b: pa.Table) -> pa.Table:
         empty = pa.table({"tool_a": pa.array([], pa.string()),

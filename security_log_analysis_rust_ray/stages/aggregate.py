@@ -8,11 +8,12 @@ combine only ever sees one row per (key, block) — this is also the
 salted-key answer to hot-key skew: a hot key contributes at most
 ``num_blocks`` partial rows regardless of its row count.
 
-Every grouped aggregate finishes in ``_grouped_fold``, which picks its final
-combine from the size of the materialized partials: within
-``Config.broadcast_max_bytes`` they are combined on the driver (the
-reference's vstack + re-group), beyond it they are hash-repartitioned on the
-keys and folded per block.  Callers never choose.
+Every grouped aggregate finishes in ``_grouped_fold``, a thin wrapper over
+``stages.dedup.keyed_fold`` — the one keyed exchange of the stage modules,
+also under distinct, dedup and per-group top-k: within
+``Config.broadcast_max_bytes`` the materialized partials are combined on the
+driver (the reference's vstack + re-group), beyond it they are
+hash-repartitioned on the keys and folded per block.  Callers never choose.
 """
 
 from __future__ import annotations
@@ -21,26 +22,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-_NULL_SENTINEL = "\x00__null__"
-
-
-def _fill(batch: pa.Table, cols: list[str]) -> pa.Table:
-    for c in cols:
-        if batch.schema.field(c).type == pa.string():
-            i = batch.schema.get_field_index(c)
-            batch = batch.set_column(i, c, pc.fill_null(batch[c], _NULL_SENTINEL))
-    return batch
-
-
-def _restore(batch: pa.Table, cols: list[str]) -> pa.Table:
-    for c in cols:
-        if batch.schema.field(c).type == pa.string():
-            arr = batch[c]
-            i = batch.schema.get_field_index(c)
-            batch = batch.set_column(
-                i, c, pc.if_else(pc.equal(arr, _NULL_SENTINEL),
-                                 pa.nulls(len(batch), pa.string()), arr))
-    return batch
+from .dedup import (_NULL_SENTINEL, _fill_sentinel, _restore_sentinel,
+                    keyed_fold)
 
 
 def grouped_count(ds: rd.Dataset, keys: list[str],
@@ -50,7 +33,7 @@ def grouped_count(ds: rd.Dataset, keys: list[str],
     Null key values group together (matching SQL GROUP BY), via sentinel fill.
     """
     def partial(b: pa.Table) -> pa.Table:
-        b = _fill(b.select(keys), keys)
+        b = _fill_sentinel(b.select(keys), keys)
         g = b.group_by(keys).aggregate([([], "count_all")])
         return g.rename_columns(keys + [alias])
 
@@ -63,7 +46,7 @@ def grouped_sum(ds: rd.Dataset, keys: list[str], value_col: str,
     plan as ``grouped_count`` — the in-batch Arrow partial means the final
     combine sees one row per (key, block)."""
     def partial(b: pa.Table) -> pa.Table:
-        b = _fill(b.select(keys + [value_col]), keys)
+        b = _fill_sentinel(b.select(keys + [value_col]), keys)
         g = b.group_by(keys).aggregate([(value_col, "sum")])
         return g.rename_columns(keys + [alias])
 
@@ -77,52 +60,20 @@ def _grouped_fold(ds: rd.Dataset, keys: list[str], partial,
     ``partial`` maps a batch to keys + the partial columns named in
     ``aggs``; each (column, combine) pair folds that column per key with an
     associative+commutative Arrow hash aggregate ("sum", "min", "max"), so
-    the partial/final split is exact.  The partials are materialized, and
-    their size picks the final: within ``Config.broadcast_max_bytes`` the
-    driver concatenates and re-groups them (the reference's A2 final step,
-    src/polars_analysis.rs:222-241 — no exchange for a 26-row result);
-    beyond it they are hash-repartitioned on ``keys`` and each block is
-    folded on its own.  Output: keys + the ``aggs`` columns, null keys
+    the partial/final split is exact and ``keyed_fold`` may finish on the
+    driver (the reference's A2 final step, src/polars_analysis.rs:222-241)
+    or per hash partition.  Output: keys + the ``aggs`` columns, null keys
     restored."""
-    import ray
-
-    from ..config import get_config
     names = [c for c, _ in aggs]
 
     def final(t: pa.Table) -> pa.Table:
+        for n in names:   # a schema-less empty input arrives as keys alone
+            if n not in t.column_names:
+                t = t.append_column(n, pa.array([], pa.int64()))
         g = t.group_by(keys).aggregate(aggs)
-        return _restore(g.rename_columns(keys + names), keys)
+        return _restore_sentinel(g.rename_columns(keys + names), keys)
 
-    pre = ds.map_batches(partial, batch_format="pyarrow",
-                         batch_size=None).materialize()
-    if pre.size_bytes() > get_config().broadcast_max_bytes:
-        from .dedup import _num_partitions, _use_hash_shuffle
-        return _use_hash_shuffle(pre).repartition(
-            num_blocks=_num_partitions(ds), keys=keys) \
-            .map_batches(final, batch_format="pyarrow", batch_size=None)
-    # empty blocks arrive as ZERO-COLUMN tables (parallelism-dependent) —
-    # or, downstream of a pandas-block stage, as raw zero-row pandas frames
-    # that to_arrow_refs passes through unconverted — drop both before concat
-    import pandas as _pd
-    blocks = []
-    for t in ray.get(list(pre.to_arrow_refs())):
-        if isinstance(t, _pd.DataFrame):
-            if not len(t):
-                continue
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows > 0:
-            blocks.append(t)
-    if not blocks:
-        # no partial rows: run ``partial`` on an empty batch of the input's
-        # schema so keys and values keep their types
-        base = getattr(ds.schema(), "base_schema", None)
-        blocks = [partial(base.empty_table()) if isinstance(base, pa.Schema)
-                  else pa.table({**{k: pa.array([], pa.string())
-                                    for k in keys},
-                                 **{n: pa.array([], pa.int64())
-                                    for n in names}})]
-    return rd.from_arrow(final(pa.concat_tables(
-        blocks, promote_options="permissive")))
+    return keyed_fold(ds, keys, partial, final)
 
 
 def grouped_min(ds: rd.Dataset, keys: list[str], value_col: str,
@@ -132,7 +83,7 @@ def grouped_min(ds: rd.Dataset, keys: list[str], value_col: str,
     in-batch partial is exact, and the final combine sees one row per
     (key, block)."""
     def partial(b: pa.Table) -> pa.Table:
-        b = _fill(b.select(keys + [value_col]), keys)
+        b = _fill_sentinel(b.select(keys + [value_col]), keys)
         g = b.group_by(keys).aggregate([(value_col, "min")])
         return g.rename_columns(keys + [alias])
 
@@ -144,7 +95,7 @@ def grouped_max(ds: rd.Dataset, keys: list[str], value_col: str,
     """groupby(keys).max(value_col) — ``grouped_min``'s mirror (max is
     associative+commutative, partial/final split exact)."""
     def partial(b: pa.Table) -> pa.Table:
-        b = _fill(b.select(keys + [value_col]), keys)
+        b = _fill_sentinel(b.select(keys + [value_col]), keys)
         g = b.group_by(keys).aggregate([(value_col, "max")])
         return g.rename_columns(keys + [alias])
 
@@ -164,14 +115,16 @@ def grouped_top_k(ds: rd.Dataset, group_cols: list[str], order_col: str,
                   k: int, descending: bool = True,
                   tie_cols: list[str] | None = None) -> rd.Dataset:
     """Per-GROUP top-k (SQL ``row_number() OVER (PARTITION BY group ORDER
-    BY order_col) <= k``), distributed as partial/final:
+    BY order_col) <= k``), distributed as partial/final through
+    ``keyed_fold``:
 
     1. per-block partial: each block keeps at most k rows per group — a
        correct combiner, since a row in the global per-group top-k is
        necessarily in its own block's per-group top-k;
-    2. one hash exchange on ``group_cols`` co-locates each group's
-       survivors (≤ k × n_blocks rows per group, usually ≪ the group);
-    3. the same kernel per partition yields the exact answer.
+    2. the survivors (≤ k × n_blocks rows per group, usually ≪ the group)
+       are combined on the driver while they fit the byte budget, else
+       hash-exchanged on ``group_cols`` so each group's survivors meet;
+    3. the same kernel over the combined survivors yields the exact answer.
 
     The kernel is one Arrow multi-column sort + a vectorized numpy
     rank-within-group (boundary cumsum over the sorted order) — no
@@ -188,9 +141,9 @@ def grouped_top_k(ds: rd.Dataset, group_cols: list[str], order_col: str,
         + [(c, "ascending") for c in tie_cols]
 
     def head_per_group(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or t.num_columns == 0:
+        if t.num_rows == 0:
             return t
-        t = _fill(t, group_cols)
+        t = _fill_sentinel(t, group_cols)
         t = t.take(pc.sort_indices(
             t, sort_keys=sort_keys, null_placement="at_end"))
         n = t.num_rows
@@ -206,15 +159,9 @@ def grouped_top_k(ds: rd.Dataset, group_cols: list[str], order_col: str,
         gid = np.cumsum(change) - 1
         starts = np.flatnonzero(change)
         rank = np.arange(n) - starts[gid]
-        return _restore(t.filter(pa.array(rank < k)), group_cols)
+        return _restore_sentinel(t.filter(pa.array(rank < k)), group_cols)
 
-    from .dedup import _num_partitions, _use_hash_shuffle
-    pre = ds.map_batches(head_per_group, batch_format="pyarrow",
-                         batch_size=None)
-    return _use_hash_shuffle(pre).repartition(
-        num_blocks=_num_partitions(ds), keys=group_cols) \
-        .map_batches(head_per_group, batch_format="pyarrow",
-                     batch_size=None)
+    return keyed_fold(ds, group_cols, head_per_group, head_per_group)
 
 
 def add_year_month(batch: pa.Table) -> pa.Table:
@@ -247,7 +194,7 @@ def grouped_count_rollup(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
     full = keys + [grp_col]
 
     def partial(b: pa.Table) -> pa.Table:
-        base = _fill(b.select(keys), keys)
+        base = _fill_sentinel(b.select(keys), keys)
         g = base.group_by(keys).aggregate([([], "count_all")]) \
             .rename_columns(keys + ["n"])
         outs = []
@@ -299,7 +246,7 @@ def grouped_count_cube(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
     full = keys + [grp_col]
 
     def partial(b: pa.Table) -> pa.Table:
-        base = _fill(b.select(keys), keys)
+        base = _fill_sentinel(b.select(keys), keys)
         g = base.group_by(keys).aggregate([([], "count_all")]) \
             .rename_columns(keys + ["n"])
         outs = []
@@ -346,7 +293,7 @@ def pivot_counts(ds: rd.Dataset, key: str, col: str,
     names = [alias_fmt.format(v=v) for v in values]
 
     def partial(b: pa.Table) -> pa.Table:
-        base = _fill(b.select([key, col]), [key])
+        base = _fill_sentinel(b.select([key, col]), [key])
         g = base.group_by([key, col]).aggregate([([], "count_all")]) \
             .rename_columns([key, col, "n"])
         n = pc.cast(g["n"], pa.int64())
@@ -381,7 +328,7 @@ def grouped_stats(ds: rd.Dataset, keys: list[str], value_col: str,
     from ..functions.util import round_half_up
 
     def partial(b: pa.Table) -> pa.Table:
-        b = _fill(b.select(keys + [value_col]), keys)
+        b = _fill_sentinel(b.select(keys + [value_col]), keys)
         v2 = pc.multiply(b[value_col], b[value_col])
         b = b.append_column("_v2", v2)
         g = b.group_by(keys).aggregate([

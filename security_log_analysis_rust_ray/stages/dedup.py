@@ -1,4 +1,5 @@
-"""Exact dedup shuffles (reference §2.8 D1-D6).
+"""Exact dedup (reference §2.8 D1-D6) and the one keyed fold under every
+keyed exchange of the stage modules.
 
 Keep-first semantics, made deterministic for a distributed shuffle (SURVEY
 §7.4): within a natural-key group the kept row is the minimum under
@@ -12,11 +13,14 @@ NULL-key handling: the reference needed a second SQL query because
 here nulls are filled with a sentinel before the groupby so null == null
 (matching the reference's *intent*), then restored.
 
-Scale note: one hash-partition exchange on the key columns, then a single
-vectorized sort+drop_duplicates per block — no per-group Python.  A skewed
-key maps to one (service,server,hour,host,user) bucket, bounded by
-construction; a pathological single hot key would be salted into
-(key, hash(order) % S) sub-buckets with a second tiny pass.
+Scale note: ``keyed_fold`` runs a vectorized per-block combiner, then
+finishes by the size of its materialized partials — on the driver (the
+reference's vstack + re-group, src/polars_analysis.rs:222-241) while they
+fit ``Config.broadcast_max_bytes``, else through one hash-partition
+exchange on the key columns with the same vectorized kernel per block.  No
+per-group Python.  A skewed key maps to one (service,server,hour,host,user)
+bucket, bounded by construction; a pathological single hot key would be
+salted into (key, hash(order) % S) sub-buckets with a second tiny pass.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 NATURAL_KEY = ["service", "server", "datetime", "host", "username"]
@@ -162,16 +167,92 @@ def _num_partitions(ds: rd.Dataset | None = None,
     return max(floor, min(4096, -(-est // cfg.target_partition_bytes)))
 
 
+def _arrow_schema(ds: rd.Dataset) -> pa.Schema:
+    """``ds.schema().base_schema`` as a ``pa.Schema`` even when the dataset
+    is pandas-backed (``from_pandas`` yields a PandasBlockSchema; object
+    columns, whose type an empty frame cannot tell, become strings)."""
+    sch = ds.schema().base_schema
+    if isinstance(sch, pa.Schema):
+        return sch
+    empty = pd.DataFrame({n: pd.Series([], dtype=object if t is None else t)
+                          for n, t in zip(sch.names, sch.types)})
+    return pa.schema([pa.field(f.name, pa.string())
+                      if pa.types.is_null(f.type) else f
+                      for f in pa.Schema.from_pandas(empty,
+                                                     preserve_index=False)])
+
+
+def _collect_table(ds: rd.Dataset) -> pa.Table:
+    """Materialize a SMALL dataset to one Arrow table on the driver
+    (callers gate on size first).  Avoids the pandas round-trip of
+    ``to_pandas`` so column types survive exactly.
+
+    Empty blocks arrive as ZERO-COLUMN tables (parallelism-dependent) or,
+    downstream of a pandas-block stage, as raw zero-row pandas frames that
+    ``to_arrow_refs`` passes through unconverted; both are dropped.  With no
+    rows left the result is the dataset's own empty schema; an all-empty
+    DERIVED dataset can lose its schema entirely, which raises (callers
+    must guard: which columns would an unknown empty table have?)."""
+    blocks = []
+    for t in ray.get(list(ds.to_arrow_refs())):
+        if isinstance(t, pd.DataFrame):
+            t = pa.Table.from_pandas(t, preserve_index=False)
+        if t.num_rows:
+            blocks.append(t)
+    if blocks:
+        return pa.concat_tables(blocks, promote_options="default")
+    if ds.schema() is None:
+        raise ValueError(
+            "empty dataset with no recoverable Arrow schema; guard the "
+            "call site (e.g. skip the join when the dim is empty)")
+    return _arrow_schema(ds).empty_table()
+
+
+def keyed_fold(ds: rd.Dataset, keys: list[str], partial,
+               final) -> rd.Dataset:
+    """The one keyed exchange of the stage modules: combine per block, then
+    finish by size.
+
+    ``partial`` maps each input batch to a combined Arrow table holding
+    ``keys``; the partials are materialized.  Within
+    ``Config.broadcast_max_bytes`` the driver concatenates them and runs
+    ``final`` once (one output block — no exchange for a few thousand
+    keys); beyond it they are hash-repartitioned on ``keys`` into
+    ``_num_partitions(ds)`` blocks and ``final`` runs per block, so
+    ``final`` must be exact on any key-complete subset of the partials.
+    Zero-column and zero-row blocks reach ``final`` as an empty table of the
+    partials' schema (or of ``partial`` over an empty batch of the input
+    schema when no partial ran, or of string ``keys`` alone when Ray knows
+    no input schema either), so an empty result keeps its columns on both
+    paths."""
+    from ..config import get_config
+    pre = ds.map_batches(partial, batch_format="pyarrow",
+                         batch_size=None).materialize()
+    if pre.schema() is not None:
+        empty = _arrow_schema(pre).empty_table()
+    elif ds.schema() is not None:
+        empty = partial(_arrow_schema(ds).empty_table())
+    else:               # Ray reports no schema at all: string keys alone
+        empty = pa.table({k: pa.array([], pa.string()) for k in keys})
+    if pre.size_bytes() <= get_config().broadcast_max_bytes:
+        return rd.from_arrow(final(_collect_table(pre) if pre.count()
+                                   else empty))
+    return _use_hash_shuffle(pre).repartition(
+        num_blocks=_num_partitions(ds), keys=keys).map_batches(
+        lambda t: final(t if t.num_rows else empty),
+        batch_format="pyarrow", batch_size=None)
+
+
 def dedup_keep_first(ds: rd.Dataset, keys: list[str] | None = None,
                      order: list[str] | None = None) -> rd.Dataset:
     """Exact dedup on ``keys`` keeping the minimum row under ``order``.
 
-    Plan: hash-repartition on the key columns (all rows of a key land in one
-    block), then one vectorized pandas sort+drop_duplicates per block.  No
-    per-group Python calls — the per-block kernel is O(block log block)
-    regardless of how many distinct keys exist (the common log-dedup case is
-    millions of tiny groups, where groupby().map_groups() would pay a Python
-    call per group)."""
+    Plan: ``keyed_fold`` with one vectorized Arrow sort + adjacent-duplicate
+    drop as both the per-block combiner and the final (the global winner is
+    the min over per-block winners).  No per-group Python calls — the
+    kernel is O(block log block) regardless of how many distinct keys exist
+    (the common log-dedup case is millions of tiny groups, where
+    groupby().map_groups() would pay a Python call per group)."""
     keys = keys or NATURAL_KEY
     order = order or ORDER_COLS
 
@@ -198,31 +279,21 @@ def dedup_keep_first(ds: rd.Dataset, keys: list[str] | None = None,
         return srt.filter(mask)
 
     def pre_dedup(b: pa.Table) -> pa.Table:
-        # combiner: per-block keep-first BEFORE the shuffle — the global
-        # winner is the min over per-block winners (min-of-min), so only one
-        # candidate row per (key, block) enters the exchange
+        # combiner: per-block keep-first before the final, so only one
+        # candidate row per (key, block) reaches it
         return keep_first(_fill_sentinel(b, keys))
 
-    out = _use_hash_shuffle(ds).map_batches(
-        pre_dedup, batch_format="pyarrow", batch_size=None)
-    out = out.repartition(num_blocks=_num_partitions(ds), keys=keys)
-    out = out.map_batches(keep_first, batch_format="pyarrow", batch_size=None)
-    return out.map_batches(lambda b: _restore_sentinel(b, keys),
-                           batch_format="pyarrow", batch_size=None)
+    return keyed_fold(ds, keys, pre_dedup,
+                      lambda t: _restore_sentinel(keep_first(t), keys))
 
 
 def distinct_rows(ds: rd.Dataset, cols: list[str]) -> rd.Dataset:
-    """D4/D6: distinct over ``cols`` (keep-any): per-batch pre-distinct
-    (combiner — only unique rows per block enter the shuffle), then
-    hash-repartition + per-block distinct."""
+    """D4/D6: distinct over ``cols`` (keep-any) through ``keyed_fold``:
+    per-batch distinct as the combiner (only unique rows per block reach
+    the final), the same distinct as the final."""
     def batch_distinct(b: pa.Table) -> pa.Table:
         b = _fill_sentinel(b.select(cols), cols)
         return b.group_by(cols).aggregate([])
 
-    pre = _use_hash_shuffle(ds).map_batches(
-        batch_distinct, batch_format="pyarrow", batch_size=None)
-    pre = pre.repartition(num_blocks=_num_partitions(ds), keys=cols)
-    out = pre.map_batches(batch_distinct, batch_format="pyarrow",
-                          batch_size=None)
-    return out.map_batches(lambda b: _restore_sentinel(b, cols),
-                           batch_format="pyarrow", batch_size=None)
+    return keyed_fold(ds, cols, batch_distinct,
+                      lambda t: _restore_sentinel(batch_distinct(t), cols))

@@ -15,9 +15,12 @@ the driver, and (unlike Ray 2.49's JoinOperator) empty hash partitions
 cannot crash schema resolution.  The reference's J1/J2 broadcast-lookup
 shape is /root/reference/src/polars_analysis.rs:96-107.
 
-``semi_join`` / ``anti_join`` gate their broadcast on the key set's
-MATERIALIZED byte size (VERDICT r02 #5: the old 5M-KEY threshold could put
-hundreds of MB of wide string keys on the driver), ship the probe as an
+``semi_join`` / ``anti_join`` take their distinct key set from
+``dedup.distinct_rows`` and gate the broadcast on its MATERIALIZED byte size
+against the same ``Config.broadcast_max_bytes`` (VERDICT r02 #5: the old
+5M-KEY threshold could put hundreds of MB of wide string keys on the
+driver), so one budget decides both the keyed fold's driver-vs-exchange
+finish and the probe's broadcast-vs-shuffle.  They ship the probe as an
 Arrow array (never a sorted Python list — null keys made ``sorted()``
 raise), and drop nulls from the probe set: a null key never matches a
 semi/anti probe, in SQL or in Ray's hash join.
@@ -32,27 +35,7 @@ import ray
 import ray.data as rd
 
 from ..config import get_config
-from .dedup import _estimate_bytes
-
-
-def _collect_table(ds: rd.Dataset) -> pa.Table:
-    """Materialize a SMALL dataset to one Arrow table on the driver
-    (callers gate on size first).  Avoids the pandas round-trip of
-    ``to_pandas`` so dim column types survive exactly."""
-    tbls = ray.get(ds.to_arrow_refs())
-    tbls = [t for t in tbls if t.num_rows > 0]
-    if not tbls:
-        sch = ds.schema()
-        base = getattr(sch, "base_schema", None)
-        if not isinstance(base, pa.Schema):
-            # an all-empty DERIVED dataset can lose its Arrow schema
-            # entirely; callers must guard (join an empty unknown-schema
-            # dim is unanswerable — which payload columns would we null?)
-            raise ValueError(
-                "empty dataset with no recoverable Arrow schema; guard the "
-                "call site (e.g. skip the join when the dim is empty)")
-        return base.empty_table()
-    return pa.concat_tables(tbls, promote_options="default")
+from .dedup import _arrow_schema, _collect_table, _estimate_bytes
 
 
 def lookup_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
@@ -202,22 +185,6 @@ def _hash_lookup_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
         return pa.Table.from_arrays(cols, schema=out_schema)
 
     return parts.map_batches(probe, batch_format="pyarrow", batch_size=None)
-
-
-def _arrow_schema(ds: rd.Dataset) -> pa.Schema:
-    """``ds.schema().base_schema`` as a ``pa.Schema`` even when the dataset
-    is pandas-backed (``from_pandas`` yields a PandasBlockSchema)."""
-    sch = ds.schema().base_schema
-    if isinstance(sch, pa.Schema):
-        return sch
-    import numpy as np
-    fields = []
-    for n, t in zip(sch.names, sch.types):
-        if t is None or t == np.dtype("O"):
-            fields.append(pa.field(n, pa.string()))
-        else:
-            fields.append(pa.field(n, pa.from_numpy_dtype(t)))
-    return pa.schema(fields)
 
 
 def hash_join(left: rd.Dataset, right: rd.Dataset, on, right_on=None,
@@ -399,8 +366,10 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on, right_on=None,
         left_rows = t.filter(pc.invert(is_right))
         if left_rows.num_rows == 0 and how != "full":
             return out_schema.empty_table()
+        # a partition that received only right rows has no left columns
         lt = pa.table(
-            {f.name: left_rows[f.name].cast(f.type) for f in left_schema})
+            {f.name: left_rows[f.name].cast(f.type) for f in left_schema}) \
+            if left_rows.num_rows else left_schema.empty_table()
         right_rows = t.filter(is_right)
         rcols = {k: right_rows[k].cast(key_types[k]) for k in on}
         for f in payload_fields:
@@ -420,40 +389,16 @@ def _distinct_probe_keys(keys_ds: rd.Dataset, key_col: str, fact_key: str,
     """Distinct ``key_col`` values; if the materialized distinct set fits
     the byte budget, also return the non-null values as one Arrow array
     for a broadcast ``is_in`` probe (else ``None`` -> shuffled-probe path,
-    with the keys dataset renamed to ``fact_key``).
-
-    Hash-partitioned distinct emits ZERO-COLUMN empty blocks when the
-    partition count exceeds the key count; normalize those to the real
-    one-column schema (the keys are materialized here — the byte gate
-    needs that anyway — so the key type is known)."""
+    with the keys dataset renamed to ``fact_key``).  ``distinct_rows``
+    never emits zero-column blocks, so the rename needs no guard, and an
+    empty key set is zero bytes: a zero-length array that semi/anti
+    short-circuit on."""
     from .dedup import distinct_rows
     keys = distinct_rows(keys_ds, [key_col]).materialize()
-    if keys.count() == 0:
-        # EMPTY key set: every block of the hash-partitioned distinct is a
-        # zero-column empty, so there is no schema to probe with at all
-        # (keys.schema() is None).  Signal with a zero-length array —
-        # semi/anti short-circuit on it (empty result / pass-through).
-        return keys, pa.array([], pa.null())
-    size = keys.size_bytes()
-    if size is not None and size <= limit:
-        tbl = _collect_table(keys)
-        arr = tbl[key_col].combine_chunks().drop_null()
-        return keys, arr
-    ktype = None
-    for f in keys.schema().base_schema:
-        if f.name == key_col:
-            ktype = f.type
-    if ktype is None:       # unified schema degenerate: scan for a block
-        for t in ray.get(keys.to_arrow_refs()):
-            if key_col in t.schema.names:
-                ktype = t.schema.field(key_col).type
-                break
-    sch = pa.schema([pa.field(fact_key, ktype or pa.string())])
-    keys = keys.map_batches(
-        lambda t: t.rename_columns([fact_key]) if t.num_columns
-        else sch.empty_table(),
-        batch_format="pyarrow", batch_size=None)
-    return keys, None
+    if keys.size_bytes() <= limit:
+        return keys, _collect_table(keys)[key_col].combine_chunks().drop_null()
+    return keys.map_batches(lambda t: t.rename_columns([fact_key]),
+                            batch_format="pyarrow", batch_size=None), None
 
 
 _MARKER = "__slar_probe__"
@@ -568,7 +513,7 @@ def semi_join(fact: rd.Dataset, keys_ds: rd.Dataset, fact_key: str,
     batch — the reference's J3-style membership probe.  Large key set:
     tagged-union hash-partitioned probe (both sides shuffle; nothing
     driver-side).  Null fact keys never match, matching SQL semantics."""
-    limit = get_config().semi_broadcast_max_bytes \
+    limit = get_config().broadcast_max_bytes \
         if broadcast_max_bytes is None else broadcast_max_bytes
     keys, arr = _distinct_probe_keys(keys_ds, key_col, fact_key, limit)
     if arr is not None and len(arr) == 0:
@@ -596,7 +541,7 @@ def anti_join(fact: rd.Dataset, keys_ds: rd.Dataset, fact_key: str,
     probe against a broadcast key set while it is small, the tagged-union
     hash-partitioned probe beyond the threshold.  Null fact keys never
     match the probe, so anti KEEPS them (LEFT JOIN ... IS NULL parity)."""
-    limit = get_config().semi_broadcast_max_bytes \
+    limit = get_config().broadcast_max_bytes \
         if broadcast_max_bytes is None else broadcast_max_bytes
     keys, arr = _distinct_probe_keys(keys_ds, key_col, fact_key, limit)
     if arr is not None and len(arr) == 0:

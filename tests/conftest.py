@@ -33,15 +33,16 @@ def ray_session():
     ray.shutdown()
 
 
-# The two final combines of stages.aggregate._grouped_fold: partials within
-# the default Config.broadcast_max_bytes budget combine on the driver; a zero
-# budget sends any non-empty partials through the hash exchange.
+# The two finishes of stages.dedup.keyed_fold (under grouped aggregates,
+# distinct, dedup, per-group top-k and the semi/anti key set): partials
+# within the default Config.broadcast_max_bytes budget combine on the driver;
+# a zero budget sends any non-empty partials through the hash exchange.
 FINAL_PATHS = ("driver", "exchange")
 
 
 @contextlib.contextmanager
 def final_path(path: str):
-    """Run the grouped aggregates built inside the block on one final path."""
+    """Run the keyed folds built inside the block on one final path."""
     from security_log_analysis_rust_ray.config import override, set_config
     assert path in FINAL_PATHS, path
     prev = override(broadcast_max_bytes=0) if path == "exchange" else None

@@ -77,7 +77,7 @@ def test_config_threshold_flips_join_path(tmp_path):
     keys = pd.DataFrame({"kk": np.arange(0, 50, 2)})
     pq.write_table(pa.Table.from_pandas(fact), str(fdir / "p.parquet"))
     pq.write_table(pa.Table.from_pandas(keys), str(kdir / "p.parquet"))
-    prev = override(semi_broadcast_max_bytes=0)
+    prev = override(broadcast_max_bytes=0)
     try:
         out = semi_join(rd.read_parquet(str(fdir)),
                         rd.read_parquet(str(kdir)),

@@ -210,9 +210,9 @@ def test_incremental_dedup_vs_duckdb():
         .sort_values(["doc_id"]).reset_index(drop=True)
     for budget in (None, "0"):
         if budget is None:
-            os.environ.pop("SLAR_SEMI_BROADCAST_MAX_BYTES", None)
+            os.environ.pop("SLAR_BROADCAST_MAX_BYTES", None)
         else:
-            os.environ["SLAR_SEMI_BROADCAST_MAX_BYTES"] = budget
+            os.environ["SLAR_BROADCAST_MAX_BYTES"] = budget
         try:
             from security_log_analysis_rust_ray import config as C
             C.set_config(None)
@@ -221,7 +221,7 @@ def test_incremental_dedup_vs_duckdb():
             assert got["doc_id"].tolist() == exp["doc_id"].tolist()
             assert got["text"].tolist() == exp["text"].tolist()
         finally:
-            os.environ.pop("SLAR_SEMI_BROADCAST_MAX_BYTES", None)
+            os.environ.pop("SLAR_BROADCAST_MAX_BYTES", None)
             from security_log_analysis_rust_ray import config as C
             C.set_config(None)
 
