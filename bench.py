@@ -149,7 +149,7 @@ def run_bench() -> dict:
     timed("chunk_dedup_text",
           lambda: docs_pipe.doc_chunk_dedup_text(docs_dir).count())
     # unigram-LM quality score: tf explode (materialized once), one term
-    # hash aggregate, size-aware tf|x|cnt join, per-doc fold
+    # grouped fold, size-aware tf|x|cnt join, per-doc fold
     timed("lm_score", lambda: docs_pipe.doc_lm_score(docs_dir).count())
     # r03 corpus-construction tier: the global-sort ops (epoch shuffle =
     # one all-to-all key sort; budget select = sort + block-summary prefix

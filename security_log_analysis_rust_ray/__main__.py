@@ -216,6 +216,7 @@ def main(argv: list[str] | None = None) -> int:
             }))
         elif a.cmd == "curate":
             from .pipelines.docs import doc_curated_corpus, doc_split_assign
+            from .stages.aggregate import grouped_count
             from .stages.joins import lookup_join
             cur = doc_curated_corpus(a.sf_dir)
             splits = doc_split_assign(a.sf_dir).materialize()
@@ -224,11 +225,12 @@ def main(argv: list[str] | None = None) -> int:
             # split-partitioned sink: a failed rerun can resume per split
             # dir, and training readers prune to their split at the read
             out_ds.write_parquet(a.out, partition_cols=["split"])
-            per = out_ds.groupby("split").count().to_pandas()
+            per = grouped_count(out_ds, ["split"]).to_pandas() \
+                .sort_values("split")
             print(json.dumps({
-                "docs_out": int(per["count()"].sum()),
+                "docs_out": int(per["cnt"].sum()),
                 "per_split": dict(zip(per["split"].astype(str),
-                                      per["count()"].astype(int))),
+                                      per["cnt"].astype(int))),
                 "out": a.out,
             }))
         elif a.cmd == "datacard":
@@ -263,17 +265,19 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(card))
         elif a.cmd == "shuffle":
             from .pipelines.docs import doc_epoch_shuffle
+            from .stages.aggregate import grouped_count
             ds = doc_epoch_shuffle(a.sf_dir, epoch=a.epoch,
                                    shards=a.shards).materialize()
             # shard-partitioned sink: loaders read shard i in key order; a
             # failed export resumes per shard dir
             ds.write_parquet(a.out, partition_cols=["shard"])
-            per = ds.groupby("shard").count().to_pandas()
+            per = grouped_count(ds, ["shard"]).to_pandas() \
+                .sort_values("shard")
             print(json.dumps({
                 "epoch": a.epoch,
-                "docs": int(per["count()"].sum()),
+                "docs": int(per["cnt"].sum()),
                 "per_shard": {str(k): int(v) for k, v in
-                              zip(per["shard"], per["count()"])},
+                              zip(per["shard"], per["cnt"])},
                 "out": a.out,
             }))
         elif a.cmd == "search":

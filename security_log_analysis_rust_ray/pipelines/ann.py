@@ -930,27 +930,30 @@ def pca_fit(sf_dir: str, k: int = PCA_K) -> tuple[np.ndarray, np.ndarray,
                                                   np.ndarray]:
     """Distributed PCA fit in ONE streaming pass: per-block partial
     (n, Σx, ΣxᵀX flattened) — one short row per block, never the corpus —
-    then a driver fold of the DIM×DIM=4096-float moment matrices, an
-    `eigh` of the covariance, and a deterministic sign convention (the
-    max-|.| element of each component is made positive; eigh's sign is
-    otherwise arbitrary).  Returns (mean (DIM,), components (k, DIM) —
+    then a driver fold of the DIM×DIM=4096-float moment matrices (in the
+    order of each block's first vec_id, so the float sums do not depend on
+    block arrival order), an `eigh` of the covariance, and a deterministic
+    sign convention (the max-|.| element of each component is made
+    positive; eigh's sign is otherwise arbitrary).  Returns (mean (DIM,), components (k, DIM) —
     rows are descending-variance principal axes, explained_var (k,)).
 
     At 100 TB this plan is unchanged: the fold moves one 4 KB row per
     block and the eigenproblem is DIM-sized, not corpus-sized.  Scale op
     beyond the reference (embedding-compression family, cf. the IVF/PQ
     codebook pipeline above)."""
-    base = read_table(sf_dir, "embeddings", columns=["embedding"])
+    base = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def partial(b: pa.Table) -> pa.Table:
         m = _mat(b["embedding"])
         return pa.table({
+            "first": pa.array([pc.min(b["vec_id"]).as_py()], pa.int64()),
             "n": pa.array([m.shape[0]], pa.int64()),
             "s": _any_list(m.sum(axis=0)[None, :]),
             "xtx": _any_list((m.T @ m).reshape(1, -1)),
         })
 
-    rows = base.map_batches(partial, batch_format="pyarrow").take_all()
+    rows = sorted(base.map_batches(partial, batch_format="pyarrow")
+                  .take_all(), key=lambda r: r["first"] or -1)
     n = float(sum(r["n"] for r in rows))
     s = np.sum([np.asarray(r["s"], dtype=np.float64) for r in rows], axis=0)
     xtx = np.sum([np.asarray(r["xtx"], dtype=np.float64) for r in rows],

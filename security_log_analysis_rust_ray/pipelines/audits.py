@@ -246,6 +246,7 @@ def join_size_probe_audit(sf_dir: str) -> rd.Dataset:
 # distinct small ints — the hardest case); bounds set with ~2x headroom.
 DOC_QTILE_RANK_EPS = 0.05    # discrete small-int token counts
 QTILE_RANK_EPS = 0.03        # continuous event values (keyed grid)
+_RANK_SUMS = [("lt", "sum"), ("le", "sum"), ("n", "sum")]
 
 
 def doc_length_quantiles_audit(sf_dir: str) -> rd.Dataset:
@@ -254,8 +255,7 @@ def doc_length_quantiles_audit(sf_dir: str) -> rd.Dataset:
     estimate's RANK sitting within ``DOC_QTILE_RANK_EPS`` of q — the
     sketch's actual guarantee.  Rank counts run distributed (the 4
     estimates broadcast, every block folds (count<v, count<=v, n))."""
-    from ray.data.aggregate import Sum
-
+    from ..stages.aggregate import grouped_fold
     from .docs import (doc_length_quantiles, doc_length_quantiles_approx,
                        docs_aug_ds)
     exact = doc_length_quantiles(sf_dir).to_pandas()   # 4 rows
@@ -279,11 +279,8 @@ def doc_length_quantiles_audit(sf_dir: str) -> rd.Dataset:
                          "le": pa.array(le, pa.int64()),
                          "n": pa.array(n, pa.int64())})
 
-    fold = docs_aug_ds(sf_dir).map_batches(
-        partial, batch_format="pyarrow", batch_size=None) \
-        .groupby("q").aggregate(Sum("lt", alias_name="lt"),
-                                Sum("le", alias_name="le"),
-                                Sum("n", alias_name="n")).to_pandas()
+    fold = grouped_fold(docs_aug_ds(sf_dir), ["q"], partial, _RANK_SUMS) \
+        .to_pandas()
     fold = exact.merge(fold, on="q", how="outer")
     lt = fold["lt"].to_numpy(dtype=np.float64)
     le = fold["le"].to_numpy(dtype=np.float64)
@@ -305,8 +302,7 @@ def events_value_quantiles_audit(sf_dir: str) -> rd.Dataset:
     value-space bounds are meaningless for unbounded domains).  The rank
     counts run distributed: the 15 (type, v) probes broadcast once and
     every block folds partial (count < v, count <= v, n) triples."""
-    from ray.data.aggregate import Sum
-
+    from ..stages.aggregate import grouped_fold
     from .relational import events_value_quantiles_by_type
 
     est = events_value_quantiles_by_type(sf_dir).to_pandas()
@@ -336,11 +332,8 @@ def events_value_quantiles_audit(sf_dir: str) -> rd.Dataset:
                          "le": pa.array(le, pa.int64()),
                          "n": pa.array(n, pa.int64())})
 
-    fold = ev.map_batches(partial, batch_format="pyarrow",
-                          batch_size=None) \
-        .groupby(["event_type", "q"]) \
-        .aggregate(Sum("lt", alias_name="lt"), Sum("le", alias_name="le"),
-                   Sum("n", alias_name="n")).to_pandas()
+    fold = grouped_fold(ev, ["event_type", "q"], partial, _RANK_SUMS) \
+        .to_pandas()
     lt = fold["lt"].to_numpy(dtype=np.float64)
     le = fold["le"].to_numpy(dtype=np.float64)
     n = fold["n"].to_numpy(dtype=np.float64)

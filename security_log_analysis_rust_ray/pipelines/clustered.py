@@ -152,8 +152,9 @@ def sorted_scan(sf_dir: str, index_dir: str | None = None) -> rd.Dataset:
     ``Dataset.sort`` is an all-to-all exchange of every block; this plan
     reads footers, orders files by key range, and only an overlapping
     boundary run pays a local sort inside its own task).  Block order ==
-    global order, so ``limit``/``iter_batches`` consume the prefix
-    lazily."""
+    global order, and the plan's own context keeps block order through
+    execution (``preserve_order``, scoped to this plan and what derives from
+    it), so ``limit``/``iter_batches`` consume the prefix lazily."""
     if index_dir is None:
         from ..synth import CACHE_ROOT
         tag = os.path.basename(os.path.normpath(sf_dir)) or "default"
@@ -175,8 +176,9 @@ def sorted_scan(sf_dir: str, index_dir: str | None = None) -> rd.Dataset:
     if not runs:
         return rd.from_arrow(schema.empty_table())
     items = [{"files": run} for run in runs]
-    return rd.from_items(items, override_num_blocks=len(items)) \
-        .map_batches(read_run, batch_format="numpy", batch_size=None)
+    ds = rd.from_items(items, override_num_blocks=len(items))
+    ds.context.execution_options.preserve_order = True
+    return ds.map_batches(read_run, batch_format="numpy", batch_size=None)
 
 
 def clustered_first_rows(sf_dir: str, k: int = 200) -> rd.Dataset:

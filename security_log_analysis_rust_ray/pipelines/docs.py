@@ -124,33 +124,24 @@ def doc_normalized_dedup(sf_dir: str) -> rd.Dataset:
     case/punctuation/whitespace mutants exact dedup misses (CCNet
     normalizes before hashing; C4 dedups on cleaned sentences).  Same
     scale plan as ``doc_exact_dedup``: normalization fuses into the
-    per-batch partial-min, one (norm_text, block) row enters the single
-    exchange."""
-    from ray.data.aggregate import Min
-
+    per-batch partial-min, one (norm_text, block) row enters the grouped
+    fold."""
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"norm_text": normalize_text(b["text"]),
                       "doc_id": b["doc_id"]})
         return t.group_by(["norm_text"]).aggregate([("doc_id", "min")]) \
                 .rename_columns(["norm_text", "doc_id"])
 
-    pre = docs_norm_ds(sf_dir).map_batches(partial, batch_format="pyarrow")
-    out = pre.groupby("norm_text").aggregate(Min("doc_id",
-                                                 alias_name="doc_id"))
+    out = agg.grouped_fold(docs_norm_ds(sf_dir), ["norm_text"], partial,
+                           [("doc_id", "min")])
     return out.select_columns(["doc_id", "norm_text"])
 
 
 def doc_exact_dedup(sf_dir: str) -> rd.Dataset:
     """Exact dedup: one surviving doc_id (the minimum) per distinct text.
-    Partial min per batch, final groupby — one row per (text, block) moves."""
-    from ray.data.aggregate import Min
-
-    def partial(b: pa.Table) -> pa.Table:
-        return b.group_by(["text"]).aggregate([("doc_id", "min")]) \
-                .rename_columns(["text", "doc_id"])
-
-    pre = docs_aug_ds(sf_dir).map_batches(partial, batch_format="pyarrow")
-    out = pre.groupby("text").aggregate(Min("doc_id", alias_name="doc_id"))
+    Partial min per batch, one grouped fold — one row per (text, block)
+    moves."""
+    out = agg.grouped_min(docs_aug_ds(sf_dir), ["text"], "doc_id", "doc_id")
     return out.select_columns(["doc_id", "text"])
 
 
@@ -773,8 +764,8 @@ def dup_clusters(sf_dir: str,
                  threshold: float = JACCARD_THRESHOLD) -> rd.Dataset:
     """Near-duplicate CLUSTERS: distributed connected components over the
     exact Jaccard pair graph (stages/graph.py: hash-to-min label propagation
-    with pointer jumping, dataset joins/groupby-min per round — no driver
-    materialization of edges or labels, VERDICT r01 #2).  Output
+    with pointer jumping, size-aware joins and a grouped min fold per round —
+    no driver materialization of edges, VERDICT r01 #2).  Output
     (doc_id, cluster) with cluster = min doc_id in the component — the
     canonical "keep one per near-dup cluster" step of a training-data dedup
     pipeline."""
@@ -825,7 +816,7 @@ def approx_distinct_terms(sf_dir: str) -> rd.Dataset:
 
 def vocab_counts(sf_dir: str, k: int = 50) -> rd.Dataset:
     """Global term frequencies over docs_aug: explode tokens per batch
-    (vectorized flatten), partial counts, final groupby — top-k by count
+    (vectorized flatten), partial counts, one grouped fold — top-k by count
     with deterministic term tie-break."""
     def explode(b: pa.Table) -> pa.Table:
         tk = pc.split_pattern(b["text"], " ")
@@ -834,12 +825,10 @@ def vocab_counts(sf_dir: str, k: int = 50) -> rd.Dataset:
         flat = tk.values
         t = pa.table({"term": flat})
         g = t.group_by(["term"]).aggregate([([], "count_all")])
-        return g.rename_columns(["term", "_partial"])
+        return g.rename_columns(["term", "cnt"])
 
-    from ray.data.aggregate import Sum
-    pre = docs_aug_ds(sf_dir).map_batches(explode, batch_format="pyarrow",
-                                          batch_size=None)
-    out = pre.groupby("term").aggregate(Sum("_partial", alias_name="cnt"))
+    out = agg.grouped_fold(docs_aug_ds(sf_dir), ["term"], explode,
+                           [("cnt", "sum")])
     return out.sort(["cnt", "term"], descending=[True, False]).limit(k)
 
 
@@ -1519,7 +1508,7 @@ def _chunk_dup_pipeline(base: rd.Dataset, chunk_counts_fn, totals_fn,
     parts = _use_hash_shuffle(cnts, nparts).repartition(
         num_blocks=nparts, keys=["ch"])
     part_schema = pa.schema([pa.field("doc_id", pa.int64()),
-                             pa.field("_partial", pa.int64())])
+                             pa.field("n_dup_chunks", pa.int64())])
 
     def block_dup(t: pa.Table) -> pa.Table:
         # hash partitions can surface zero-column empty blocks
@@ -1530,19 +1519,15 @@ def _chunk_dup_pipeline(base: rd.Dataset, chunk_counts_fn, totals_fn,
             pc.greater_equal(per["doc_id_count_distinct"], 2))["ch"]
         keep = t.filter(pc.is_in(t["ch"], value_set=dup_ch.combine_chunks()))
         out = keep.group_by("doc_id").aggregate([("cnt", "sum")])
-        return out.rename_columns(["doc_id", "_partial"]) \
+        return out.rename_columns(["doc_id", "n_dup_chunks"]) \
                   .cast(part_schema)
 
-    from ray.data.aggregate import Sum
     # materialized: (a) the size gate in lookup_join sees the REAL bytes
     # (at most one short row per doc-with-dups) instead of the corpus-
     # sized root-file estimate, so the attach broadcasts; (b) the chunk
     # pipeline is not re-executed as the join's dim lineage
-    dup_cnt = parts.map_batches(block_dup, batch_format="pyarrow",
-                                batch_size=None) \
-        .groupby("doc_id") \
-        .aggregate(Sum("_partial", alias_name="n_dup_chunks")) \
-        .materialize()
+    dup_cnt = agg.grouped_fold(parts, ["doc_id"], block_dup,
+                               [("n_dup_chunks", "sum")]).materialize()
 
     tot = base.map_batches(totals_fn, batch_format="pyarrow")
     joined = lookup_join(tot, dup_cnt, "doc_id", "doc_id",
@@ -1592,8 +1577,6 @@ def doc_curated_corpus(sf_dir: str) -> rd.Dataset:
     Every stage is a streaming map or a key-partitioned exchange; nothing
     corpus-sized lands on the driver.  Output: (doc_id, text,
     quality_score)."""
-    from ray.data.aggregate import Min
-
     from ..stages.joins import anti_join, semi_join
 
     nparts = _join_parts(sf_dir)
@@ -1614,13 +1597,7 @@ def doc_curated_corpus(sf_dir: str) -> rd.Dataset:
 
     q = train.map_batches(qual, batch_format="pyarrow")
 
-    def partial_min(b: pa.Table) -> pa.Table:
-        return b.select(["text", "doc_id"]).group_by(["text"]) \
-                .aggregate([("doc_id", "min")]) \
-                .rename_columns(["text", "doc_id"])
-
-    keep_ids = q.map_batches(partial_min, batch_format="pyarrow") \
-        .groupby("text").aggregate(Min("doc_id", alias_name="doc_id")) \
+    keep_ids = agg.grouped_min(q, ["text"], "doc_id", "doc_id") \
         .select_columns(["doc_id"])
     deduped = semi_join(q, keep_ids, "doc_id", "doc_id", nparts=nparts)
 
@@ -1712,8 +1689,6 @@ def corpus_source_report(sf_dir: str) -> rd.Dataset:
     score — the dashboard row a curation run checks per crawl source.
     Partial sums fold inside each batch (one row per (source, block) moves)
     before a tiny grouped final; averages round like every ratio oracle."""
-    from ray.data.aggregate import Sum
-
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "source", "text"])
 
@@ -1728,13 +1703,10 @@ def corpus_source_report(sf_dir: str) -> rd.Dataset:
                       "q": pa.array(quality)})
         return t.group_by("source").aggregate(
             [("n", "sum"), ("tok", "sum"), ("q", "sum")]) \
-            .rename_columns(["source", "n", "tok", "q"])
+            .rename_columns(["source", "n_docs", "tok_sum", "q_sum"])
 
-    folded = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("source").aggregate(
-            Sum("n", alias_name="n_docs"),
-            Sum("tok", alias_name="tok_sum"),
-            Sum("q", alias_name="q_sum"))
+    folded = agg.grouped_fold(ds, ["source"], partial, [
+        ("n_docs", "sum"), ("tok_sum", "sum"), ("q_sum", "sum")])
 
     def finish(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or t.num_rows == 0:
@@ -1908,7 +1880,6 @@ def crawl_overlap_report(sf_dir: str) -> rd.Dataset:
     known_chunk_frac)."""
     from ..stages.dedup import distinct_rows
     from ..stages.joins import lookup_join, semi_join
-    from ray.data.aggregate import Sum
 
     nparts = _join_parts(sf_dir)
     base_ch = distinct_rows(
@@ -1926,8 +1897,8 @@ def crawl_overlap_report(sf_dir: str) -> rd.Dataset:
     known = semi_join(new_docs.map_batches(chunk_counts,
                                            batch_format="pyarrow"),
                       base_ch, "ch", "ch", nparts=nparts)
-    known_cnt = known.groupby("doc_id") \
-        .aggregate(Sum("cnt", alias_name="n_known_chunks")).materialize()
+    known_cnt = agg.grouped_sum(known, ["doc_id"], "cnt",
+                                "n_known_chunks").materialize()
 
     def totals(t: pa.Table) -> pa.Table:
         n = pc.add(pc.count_substring(t["text"], " "), 1)
@@ -2182,20 +2153,17 @@ def doc_temperature_mix(sf_dir: str) -> rd.Dataset:
     (source, block) moves) -> tiny grouped final -> single-block normalize
     (the source list is dashboard-sized at any corpus scale).
     Output (source, n_tokens, weight)."""
-    from ray.data.aggregate import Sum
-
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
         n_tok = pc.cast(pc.add(pc.count_substring(b["text"], " "), 1),
                         pa.int64())
-        t = pa.table({"source": b["source"], "tok": n_tok})
-        return t.group_by("source").aggregate([("tok", "sum")]) \
-                .rename_columns(["source", "tok"])
+        t = pa.table({"source": b["source"], "n_tokens": n_tok})
+        return t.group_by("source").aggregate([("n_tokens", "sum")]) \
+                .rename_columns(["source", "n_tokens"])
 
-    folded = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("source").aggregate(Sum("tok", alias_name="n_tokens")) \
-        .repartition(1)
+    folded = agg.grouped_fold(ds, ["source"], partial,
+                              [("n_tokens", "sum")]).repartition(1)
 
     def finish(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or t.num_rows == 0:
@@ -2279,13 +2247,13 @@ def doc_lm_score(sf_dir: str) -> rd.Dataset:
       tf   = per-batch (doc_id, term, tf) counts (`_doc_tf_batch`; docs
              never span batches), materialized once — it feeds the LM
              counts, the totals AND the scoring join;
-      cnt  = corpus term counts: ONE hash aggregate summing tf per term
+      cnt  = corpus term counts: ONE grouped fold summing tf per term
              (the distributed LM "training" step);
       tf |x| cnt on term via the size-aware ``lookup_join`` (broadcast
              while the vocab fits the byte budget, partitioned hash join
              past it — the vocab is NOT assumed driver-sized);
-      fold = per-batch partial (doc_id, Σ tf·nll, Σ tf) -> one hash
-             aggregate on doc_id -> vectorized finish.
+      fold = per-batch partial (doc_id, Σ tf·nll, Σ tf) -> one grouped
+             fold on doc_id -> vectorized finish.
 
     avg_nll = Σ_terms tf · −log2((c+1)/(T+V)) / Σ_terms tf, rounded to 6
     (half-up, DuckDB ROUND parity); the oracle states the identical
@@ -2294,7 +2262,6 @@ def doc_lm_score(sf_dir: str) -> rd.Dataset:
     (same plan, one extra fill_null); the full vocab here keeps the
     oracle exact.  Scale op beyond the reference (quality-filter family,
     cf. src/parse_logs.rs filter gates)."""
-    from ray.data.aggregate import Sum
     from ..stages.joins import lookup_join
 
     nparts = _join_parts(sf_dir)
@@ -2359,8 +2326,8 @@ def doc_lm_score(sf_dir: str) -> rd.Dataset:
 
     joined = lookup_join(tf, cnt, "term", "term", nparts=nparts, how="inner")
     part_schema = pa.schema([pa.field("doc_id", pa.int64()),
-                             pa.field("_nll", pa.float64()),
-                             pa.field("_ntok", pa.int64())])
+                             pa.field("s", pa.float64()),
+                             pa.field("n", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
         # hash partitions can surface zero-column empty blocks
@@ -2373,12 +2340,10 @@ def doc_lm_score(sf_dir: str) -> rd.Dataset:
                       "_ntok": t["tf"]})
         out = g.group_by("doc_id").aggregate([("_nll", "sum"),
                                               ("_ntok", "sum")])
-        return out.rename_columns(["doc_id", "_nll", "_ntok"]) \
-                  .cast(part_schema)
+        return out.rename_columns(["doc_id", "s", "n"]).cast(part_schema)
 
-    folded = joined.map_batches(partial, batch_format="pyarrow") \
-        .groupby("doc_id") \
-        .aggregate(Sum("_nll", alias_name="s"), Sum("_ntok", alias_name="n"))
+    folded = agg.grouped_fold(joined, ["doc_id"], partial,
+                              [("s", "sum"), ("n", "sum")])
     out_schema = pa.schema([pa.field("doc_id", pa.int64()),
                             pa.field("lm_tokens", pa.int64()),
                             pa.field("avg_nll", pa.float64())])
@@ -2451,7 +2416,6 @@ def doc_dsir_weights(sf_dir: str) -> rd.Dataset:
 
     avg_llr = Σ tf·(log2((c_t+1)/(T_t+V)) − log2((c_r+1)/(T_r+V))) / Σ tf,
     rounded to 6 (half-up); the oracle states the identical arithmetic."""
-    from ray.data.aggregate import Sum
     from ..config import get_config
     from ..stages.dedup import _estimate_bytes
     from ..stages.joins import lookup_join
@@ -2545,8 +2509,8 @@ def doc_dsir_weights(sf_dir: str) -> rd.Dataset:
         joined = lookup_join(joined, cnt_t, "term", "term", nparts=nparts,
                              how="left")
     part_schema = pa.schema([pa.field("doc_id", pa.int64()),
-                             pa.field("_llr", pa.float64()),
-                             pa.field("_ntok", pa.int64())])
+                             pa.field("s", pa.float64()),
+                             pa.field("n", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or t.num_rows == 0:
@@ -2561,12 +2525,10 @@ def doc_dsir_weights(sf_dir: str) -> rd.Dataset:
                       "_ntok": t["tf"]})
         out = g.group_by("doc_id").aggregate([("_llr", "sum"),
                                               ("_ntok", "sum")])
-        return out.rename_columns(["doc_id", "_llr", "_ntok"]) \
-                  .cast(part_schema)
+        return out.rename_columns(["doc_id", "s", "n"]).cast(part_schema)
 
-    folded = joined.map_batches(partial, batch_format="pyarrow") \
-        .groupby("doc_id") \
-        .aggregate(Sum("_llr", alias_name="s"), Sum("_ntok", alias_name="n"))
+    folded = agg.grouped_fold(joined, ["doc_id"], partial,
+                              [("s", "sum"), ("n", "sum")])
 
     def finish(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or t.num_rows == 0:

@@ -11,45 +11,30 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 from ..functions.util import round_half_up
 from ..sources.readers import read_table
-
-
-def _partial_sums(keys: list[str], sums: dict[str, str]):
-    """map_batches combiner: in-batch grouped sums (one row/key/block)."""
-    aggs = [(src, "sum") for src in sums]
-    names = keys + [f"{src}_sum" for src in sums]
-
-    def fn(b: pa.Table) -> pa.Table:
-        cols = keys + list(sums)
-        return b.select(cols).group_by(keys).aggregate(aggs) \
-                .rename_columns(names)
-    return fn
+from ..stages.aggregate import grouped_count, grouped_fold, grouped_sum
 
 
 def lineitem_pricing_summary(sf_dir: str) -> rd.Dataset:
     """TPC-H Q1-flavored pricing summary: per (returnflag, linestatus) sums
-    over a derived revenue column; partial sums per batch, final groupby."""
+    over a derived revenue column; partial sums per batch, one grouped
+    fold."""
     keys = ["l_returnflag", "l_linestatus"]
     ds = read_table(sf_dir, "lineitem", columns=keys + [
         "l_quantity", "l_extendedprice", "l_discount"])
 
-    def derive(b: pa.Table) -> pa.Table:
+    def partial(b: pa.Table) -> pa.Table:
         rev = pc.multiply(b["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        b = b.append_column("revenue", rev)
-        n = pa.array(np.ones(len(b)))
-        return b.append_column("one", n)
+        t = b.select(keys + ["l_quantity"]).append_column("revenue", rev)
+        return t.group_by(keys).aggregate(
+            [("l_quantity", "sum"), ("revenue", "sum"), ([], "count_all")]) \
+            .rename_columns(keys + ["sum_qty", "sum_revenue", "cnt"])
 
-    partial = ds.map_batches(derive, batch_format="pyarrow").map_batches(
-        _partial_sums(keys, {"l_quantity": "sum", "revenue": "sum", "one": "sum"}),
-        batch_format="pyarrow")
-    out = partial.groupby(keys).aggregate(
-        Sum("l_quantity_sum", alias_name="sum_qty"),
-        Sum("revenue_sum", alias_name="sum_revenue"),
-        Sum("one_sum", alias_name="cnt_f"))
+    out = grouped_fold(ds, keys, partial, [
+        ("sum_qty", "sum"), ("sum_revenue", "sum"), ("cnt", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -57,7 +42,7 @@ def lineitem_pricing_summary(sf_dir: str) -> rd.Dataset:
             "l_linestatus": b["l_linestatus"],
             "sum_qty": pa.array(round_half_up(b["sum_qty"].to_numpy())),
             "sum_revenue": pa.array(round_half_up(b["sum_revenue"].to_numpy(), 4)),
-            "cnt": pc.cast(b["cnt_f"], pa.int64()),
+            "cnt": b["cnt"],
         })
     return out.map_batches(finish, batch_format="pyarrow")
 
@@ -84,11 +69,7 @@ def orders_by_nation(sf_dir: str) -> rd.Dataset:
         lambda b: pa.table({"nation": b["n_name"],
                             "o_totalprice": b["o_totalprice"]}),
         batch_format="pyarrow", batch_size=None)
-    partial = ds.map_batches(
-        _partial_sums(["nation"], {"o_totalprice": "sum"}),
-        batch_format="pyarrow")
-    out = partial.groupby("nation").aggregate(
-        Sum("o_totalprice_sum", alias_name="total_f"))
+    out = grouped_sum(ds, ["nation"], "o_totalprice", "total_f")
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -119,10 +100,7 @@ def top_parts_by_revenue(sf_dir: str, k: int = 5) -> rd.Dataset:
                 b["l_extendedprice"],
                 pc.subtract(pa.scalar(1.0), b["l_discount"]))}),
         batch_format="pyarrow", batch_size=None)
-    partial = ds.map_batches(_partial_sums(["brand"], {"revenue": "sum"}),
-                             batch_format="pyarrow")
-    out = partial.groupby("brand").aggregate(
-        Sum("revenue_sum", alias_name="rev_f"))
+    out = grouped_sum(ds, ["brand"], "revenue", "rev_f")
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -179,12 +157,9 @@ def shipping_priority(sf_dir: str, k: int = 10) -> rd.Dataset:
                          "revenue": rev})
 
     keys = ["o_orderkey", "o_orderdate", "o_orderpriority"]
-    partial = j2.map_batches(derive, batch_format="pyarrow",
-                             batch_size=None) \
-        .map_batches(_partial_sums(keys, {"revenue": "sum"}),
-                     batch_format="pyarrow")
-    out = partial.groupby(keys).aggregate(
-        Sum("revenue_sum", alias_name="rev_f"))
+    out = grouped_sum(j2.map_batches(derive, batch_format="pyarrow",
+                                     batch_size=None),
+                      keys, "revenue", "rev_f")
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -271,10 +246,7 @@ def local_supplier_volume(sf_dir: str) -> rd.Dataset:
                 b["l_extendedprice"],
                 pc.subtract(pa.scalar(1.0), b["l_discount"]))}),
         batch_format="pyarrow", batch_size=None)
-    partial = ds.map_batches(_partial_sums(["nation"], {"revenue": "sum"}),
-                             batch_format="pyarrow")
-    out = partial.groupby("nation").aggregate(
-        Sum("revenue_sum", alias_name="rev_f"))
+    out = grouped_sum(ds, ["nation"], "revenue", "rev_f")
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -339,12 +311,9 @@ def returned_items_report(sf_dir: str, k: int = 20) -> rd.Dataset:
                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
         return pa.table({k: b[k] for k in keys} | {"revenue": rev})
 
-    partial = j.map_batches(derive, batch_format="pyarrow",
-                            batch_size=None) \
-        .map_batches(_partial_sums(keys, {"revenue": "sum"}),
-                     batch_format="pyarrow")
-    out = partial.groupby(keys).aggregate(
-        Sum("revenue_sum", alias_name="rev_f"))
+    out = grouped_sum(j.map_batches(derive, batch_format="pyarrow",
+                                    batch_size=None),
+                      keys, "revenue", "rev_f")
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -980,24 +949,13 @@ def events_user_bands(sf_dir: str) -> rd.Dataset:
     ev = read_table(sf_dir, "events", columns=["user_id"])
     joined = range_lookup_join(ev, bands, "user_id", "lo", "hi")
 
-    def one(b: pa.Table) -> pa.Table:
-        return b.append_column("one", pa.array(np.ones(b.num_rows)))
+    def partial(b: pa.Table) -> pa.Table:
+        return b.group_by(["band"]).aggregate(
+            [([], "count_all"), ("user_id", "sum")]) \
+            .rename_columns(["band", "cnt", "sum_user"])
 
-    partial = joined.map_batches(one, batch_format="pyarrow").map_batches(
-        _partial_sums(["band"], {"one": "sum", "user_id": "sum"}),
-        batch_format="pyarrow")
-    out = partial.groupby("band").aggregate(
-        Sum("one_sum", alias_name="cnt_f"),
-        Sum("user_id_sum", alias_name="sum_user_f"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "band": b["band"],
-            "cnt": pc.cast(b["cnt_f"], pa.int64()),
-            "sum_user": pc.cast(b["sum_user_f"], pa.int64()),
-        })
-    return out.map_batches(finish, batch_format="pyarrow") \
-        .sort("band")
+    return grouped_fold(joined, ["band"], partial,
+                        [("cnt", "sum"), ("sum_user", "sum")]).sort("band")
 
 
 def events_value_stats(sf_dir: str) -> rd.Dataset:
@@ -1049,9 +1007,7 @@ def nation_balance_full_join(sf_dir: str) -> rd.Dataset:
             return b.filter(pc.greater(b[bal], 4000.0))
 
         ds = ds.map_batches(keep, batch_format="pyarrow", batch_size=None)
-        ds = ds.map_batches(
-            _partial_sums([key], {bal: "sum"}), batch_format="pyarrow")
-        out = ds.groupby(key).aggregate(Sum(f"{bal}_sum", alias_name="t"))
+        out = grouped_sum(ds, [key], bal, "t")
 
         def finish(b: pa.Table) -> pa.Table:
             return pa.table({
@@ -1309,23 +1265,20 @@ def idle_high_balance_customers(sf_dir: str) -> rd.Dataset:
     nation = read_table(sf_dir, "nation",
                         columns=["n_nationkey", "n_name"])
     j = lookup_join(idle, nation, "c_nationkey", "n_nationkey")
-    pre = j.map_batches(
-        lambda b: pa.table({"nation": b["n_name"],
-                            "bal_cents": b["bal_cents"],
-                            "one": pa.array(
-                                np.ones(b.num_rows, np.int64))}),
-        batch_format="pyarrow", batch_size=None)
-    out = pre.map_batches(
-        _partial_sums(["nation"], {"bal_cents": "sum", "one": "sum"}),
-        batch_format="pyarrow").groupby("nation").aggregate(
-        Sum("bal_cents_sum", alias_name="cents"),
-        Sum("one_sum", alias_name="cnt"))
+
+    def partial(b: pa.Table) -> pa.Table:
+        return b.group_by(["n_name"]).aggregate(
+            [("bal_cents", "sum"), ([], "count_all")]) \
+            .rename_columns(["nation", "cents", "n_custs"])
+
+    out = grouped_fold(j, ["nation"], partial,
+                       [("cents", "sum"), ("n_custs", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         bal = pc.divide(pc.cast(b["cents"], pa.float64()),
                         pa.scalar(100.0))
         return pa.table({"nation": b["nation"],
-                         "n_custs": pc.cast(b["cnt"], pa.int64()),
+                         "n_custs": b["n_custs"],
                          "total_bal": bal})
     return out.map_batches(finish, batch_format="pyarrow").sort("nation")
 
@@ -1363,20 +1316,12 @@ def supplier_variety(sf_dir: str, excl_bal: float = 2000.0,
     def pcount(b: pa.Table) -> pa.Table:
         return b.group_by(["p_brand", "p_size"]).aggregate(
             [("l_suppkey", "count")]).rename_columns(
-            ["p_brand", "p_size", "c"])
+            ["p_brand", "p_size", "supplier_cnt"])
 
-    from ray.data.aggregate import Sum
-    out = uniq.map_batches(pcount, batch_format="pyarrow") \
-        .groupby(["p_brand", "p_size"]) \
-        .aggregate(Sum("c", alias_name="supplier_cnt"))
-    return out.map_batches(
-        lambda b: pa.table({
-            "p_brand": b["p_brand"],
-            "p_size": b["p_size"],
-            "supplier_cnt": pc.cast(b["supplier_cnt"], pa.int64())}),
-        batch_format="pyarrow") \
-        .sort(["supplier_cnt", "p_brand", "p_size"],
-              descending=[True, False, False]).limit(k)
+    out = grouped_fold(uniq, ["p_brand", "p_size"], pcount,
+                       [("supplier_cnt", "sum")])
+    return out.sort(["supplier_cnt", "p_brand", "p_size"],
+                    descending=[True, False, False]).limit(k)
 
 
 def modal_hour_by_type(sf_dir: str) -> rd.Dataset:
@@ -1390,38 +1335,31 @@ def modal_hour_by_type(sf_dir: str) -> rd.Dataset:
 
     ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
 
-    def hour_counts(b: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": b["event_type"],
-                      "hour": pc.cast(pc.hour(b["ts"]), pa.int64())})
-        return t.group_by(["event_type", "hour"]).aggregate(
-            [([], "count_all")]).rename_columns(
-            ["event_type", "hour", "c"])
+    def hour(b: pa.Table) -> pa.Table:
+        return pa.table({"event_type": b["event_type"],
+                         "hour": pc.cast(pc.hour(b["ts"]), pa.int64())})
 
-    counts = ds.map_batches(hour_counts, batch_format="pyarrow") \
-        .groupby(["event_type", "hour"]) \
-        .aggregate(Sum("c", alias_name="cnt"))
-    counts = counts.map_batches(
-        lambda b: b.append_column("neg_cnt",
-                                  pc.negate(pc.cast(b["cnt"], pa.int64()))),
+    counts = grouped_count(ds.map_batches(hour, batch_format="pyarrow"),
+                           ["event_type", "hour"]).map_batches(
+        lambda b: b.append_column("neg_cnt", pc.negate(b["cnt"])),
         batch_format="pyarrow", batch_size=None)
     win = dedup_keep_first(counts, keys=["event_type"],
                            order=["neg_cnt", "hour"])
-    return win.map_batches(
-        lambda b: pa.table({"event_type": b["event_type"],
-                            "hour": b["hour"],
-                            "cnt": pc.cast(b["cnt"], pa.int64())}),
-        batch_format="pyarrow", batch_size=None).sort("event_type")
+    return win.select_columns(["event_type", "hour", "cnt"]) \
+        .sort("event_type")
 
 
 def events_value_hour_corr(sf_dir: str) -> rd.Dataset:
     """Grouped Pearson correlation between event value and hour-of-day,
     per event_type — the two-variable extension of grouped_stats'
     sum-of-squares fold.  One combiner pass emits the six partial sums
-    (n, sx, sy, sxx, syy, sxy) per (type, block); one tiny groupby
+    (n, sx, sy, sxx, syy, sxy) per (type, block); one grouped fold
     finishes; r is computed from the folded sums with the SAME explicit
     formula the oracle SQL uses (rounded to 6: float partial-sum order
     differs between engine and DuckDB only in final ulps)."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
+    sums = ["n", "sx", "sy", "sxx", "syy", "sxy"]
+    aggs = [(c, "sum") for c in sums]
 
     def partials(b: pa.Table) -> pa.Table:
         x = b["value"]
@@ -1432,21 +1370,16 @@ def events_value_hour_corr(sf_dir: str) -> rd.Dataset:
             "sx": x, "sy": y,
             "sxx": pc.multiply(x, x), "syy": pc.multiply(y, y),
             "sxy": pc.multiply(x, y)})
-        return t.group_by(["event_type"]).aggregate(
-            [(c, "sum") for c in ("n", "sx", "sy", "sxx", "syy", "sxy")]) \
-            .rename_columns(["event_type", "n", "sx", "sy",
-                             "sxx", "syy", "sxy"])
+        return t.group_by(["event_type"]).aggregate(aggs) \
+            .rename_columns(["event_type"] + sums)
 
-    folded = ds.map_batches(partials, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(
-        *[Sum(c, alias_name=c + "_t")
-          for c in ("n", "sx", "sy", "sxx", "syy", "sxy")])
+    folded = grouped_fold(ds, ["event_type"], partials, aggs)
 
     def finish(b: pa.Table) -> pa.Table:
-        n = b["n_t"].to_numpy()
-        sx, sy = b["sx_t"].to_numpy(), b["sy_t"].to_numpy()
-        sxx, syy = b["sxx_t"].to_numpy(), b["syy_t"].to_numpy()
-        sxy = b["sxy_t"].to_numpy()
+        n = b["n"].to_numpy()
+        sx, sy = b["sx"].to_numpy(), b["sy"].to_numpy()
+        sxx, syy = b["sxx"].to_numpy(), b["syy"].to_numpy()
+        sxy = b["sxy"].to_numpy()
         cov = n * sxy - sx * sy
         vx, vy = n * sxx - sx * sx, n * syy - sy * sy
         denom = np.sqrt(vx * vy)
@@ -1637,7 +1570,6 @@ def events_target_encoded(sf_dir: str) -> rd.Dataset:
     NULL (no peers to borrow from), exactly as the oracle's NULLIF.
     Output (event_id, loo_mean round 6), fact-scale, streaming."""
     from ..stages.joins import _collect_table, lookup_join
-    from ray.data.aggregate import Sum as _Sum
     ds = read_table(sf_dir, "events",
                     columns=["event_id", "event_type", "value"])
 
@@ -1652,11 +1584,8 @@ def events_target_encoded(sf_dir: str) -> rd.Dataset:
             [("s", "sum"), ("n", "sum")]) \
             .rename_columns(["event_type", "s", "n"])
 
-    stats = ds.map_batches(fold, batch_format="pyarrow",
-                           batch_size=None) \
-        .groupby("event_type").aggregate(_Sum("s", alias_name="s"),
-                                         _Sum("n", alias_name="n")) \
-        .materialize()
+    stats = grouped_fold(ds, ["event_type"], fold,
+                         [("s", "sum"), ("n", "sum")]).materialize()
     j = lookup_join(ds, stats, "event_type", "event_type", how="inner")
 
     def loo(b: pa.Table) -> pa.Table:
@@ -1689,8 +1618,6 @@ def events_daily_lag_correlation(sf_dir: str) -> rd.Dataset:
     the ~30-row fold.  Pearson r restated with the explicit
     sum-of-products formula on BOTH sides, over the overlapping day
     range of each lag.  Output (lag, n_days, r round 6)."""
-    from ray.data.aggregate import Sum as _Sum
-
     def day_counts(b: pa.Table) -> pa.Table:
         f = b.filter(pc.is_in(b["event_type"],
                               value_set=pa.array(["click", "purchase"])))
@@ -1704,10 +1631,9 @@ def events_daily_lag_correlation(sf_dir: str) -> rd.Dataset:
             [("is_c", "sum"), ("is_p", "sum")]) \
             .rename_columns(["day", "c", "p"])
 
-    daily = read_table(sf_dir, "events", columns=["ts", "event_type"]) \
-        .map_batches(day_counts, batch_format="pyarrow") \
-        .groupby("day").aggregate(_Sum("c", alias_name="c"),
-                                  _Sum("p", alias_name="p")) \
+    daily = grouped_fold(
+        read_table(sf_dir, "events", columns=["ts", "event_type"]), ["day"],
+        day_counts, [("c", "sum"), ("p", "sum")]) \
         .to_pandas().sort_values("day").reset_index(drop=True)
     empty = pa.table({"lag": pa.array([], pa.int64()),
                       "n_days": pa.array([], pa.int64()),
@@ -2003,8 +1929,7 @@ def user_survival_curve(sf_dir: str) -> rd.Dataset:
     def first_two(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return pa.table({"dur": pa.array([], pa.int64()),
-                             "ev": pa.array([], pa.int64()),
-                             "one": pa.array([], pa.int64())})
+                             "ev": pa.array([], pa.int64())})
         b = b.sort_by([("user_id", "ascending"), ("ts", "ascending")])
         u = b["user_id"].to_numpy()
         t = b["ts"].cast(pa.int64()).to_numpy()
@@ -2015,16 +1940,11 @@ def user_survival_curve(sf_dir: str) -> rd.Dataset:
         t2 = np.where(has2, t[np.minimum(starts + 1, len(t) - 1)], wm)
         dur = (t2 - t1) // DAY_US
         return pa.table({"dur": pa.array(dur, pa.int64()),
-                         "ev": pa.array(has2.astype(np.int64)),
-                         "one": pa.array(np.ones(len(dur), np.int64))})
+                         "ev": pa.array(has2.astype(np.int64))})
 
-    fold = _by_key_blocks(ds, ["user_id"]).map_batches(
-        first_two, batch_format="pyarrow", batch_size=None) \
-        .map_batches(lambda t: t.group_by(["dur", "ev"]).aggregate(
-            [("one", "sum")]).rename_columns(["dur", "ev", "c"]),
-            batch_format="pyarrow", batch_size=None) \
-        .groupby(["dur", "ev"]).aggregate(Sum("c", alias_name="c")) \
-        .to_pandas()
+    fold = grouped_count(_by_key_blocks(ds, ["user_id"]).map_batches(
+        first_two, batch_format="pyarrow", batch_size=None),
+        ["dur", "ev"], "c").to_pandas()
     empty = pa.table({"t_days": pa.array([], pa.int64()),
                       "at_risk": pa.array([], pa.int64()),
                       "events": pa.array([], pa.int64()),
@@ -2060,6 +1980,17 @@ def user_survival_curve(sf_dir: str) -> rd.Dataset:
 SEAS_MA = 7   # centered moving-average window for the trend
 
 
+def _daily_counts(sf_dir: str) -> pd.DataFrame:
+    """(day, cnt) event counts per calendar day, sorted by day — the
+    calendar-bounded series (~30 rows a month whatever the fact scale)
+    under the daily smoothing / decomposition / change-point ops."""
+    days = read_table(sf_dir, "events", columns=["ts"]).map_batches(
+        lambda b: pa.table({"day": pc.floor_temporal(b["ts"], unit="day")}),
+        batch_format="pyarrow")
+    return grouped_count(days, ["day"]).to_pandas() \
+        .sort_values("day").reset_index(drop=True)
+
+
 def events_seasonal_decompose(sf_dir: str) -> rd.Dataset:
     """Classical additive SEASONAL DECOMPOSITION of the daily count
     series: cnt = trend (centered 7-day moving average) + weekday
@@ -2069,16 +2000,7 @@ def events_seasonal_decompose(sf_dir: str) -> rd.Dataset:
     same count(*)=7 frame guard).  The fact stream folds partial-first
     to the calendar-bounded series; decomposition runs on the ~30-row
     fold.  Output (day, cnt, trend, dow_effect, residual) round-6."""
-    def day(b: pa.Table) -> pa.Table:
-        t = pa.table({"day": pc.floor_temporal(b["ts"], unit="day"),
-                      "one": pa.array(np.ones(b.num_rows, np.int64))})
-        return t.group_by(["day"]).aggregate([("one", "sum")]) \
-            .rename_columns(["day", "c"])
-
-    daily = read_table(sf_dir, "events", columns=["ts"]) \
-        .map_batches(day, batch_format="pyarrow") \
-        .groupby("day").aggregate(Sum("c", alias_name="cnt")) \
-        .to_pandas().sort_values("day").reset_index(drop=True)
+    daily = _daily_counts(sf_dir)
     empty = pa.table({"day": pa.array([], pa.timestamp("us")),
                       "cnt": pa.array([], pa.int64()),
                       "trend": pa.array([], pa.float64()),
@@ -2139,14 +2061,11 @@ def user_rfm_segments(sf_dir: str) -> rd.Dataset:
                       "m": pa.array(cents)})
         return t.group_by(["user_id"]).aggregate(
             [("last", "max"), ("n", "sum"), ("m", "sum")]) \
-            .rename_columns(["user_id", "last", "n", "m"])
+            .rename_columns(["user_id", "last", "frequency", "monetary"])
 
-    from ray.data.aggregate import Max as _Max, Sum as _Sum
     from ..stages.joins import lookup_join
-    rfm = ds.map_batches(fold, batch_format="pyarrow", batch_size=None) \
-        .groupby("user_id").aggregate(_Max("last", alias_name="last"),
-                                      _Sum("n", alias_name="frequency"),
-                                      _Sum("m", alias_name="monetary")) \
+    rfm = grouped_fold(ds, ["user_id"], fold, [
+        ("last", "max"), ("frequency", "sum"), ("monetary", "sum")]) \
         .materialize()
     empty = pa.table({"user_id": pa.array([], pa.int64()),
                       "recency_days": pa.array([], pa.int64()),
@@ -2415,16 +2334,7 @@ def events_seasonal_backtest(sf_dir: str) -> rd.Dataset:
     ~30-row fold (all-integer until the final division).  Output
     (day, cnt, forecast, abs_err, mae round 6) for days with a
     7-day-old reference."""
-    def day(b: pa.Table) -> pa.Table:
-        t = pa.table({"day": pc.floor_temporal(b["ts"], unit="day"),
-                      "one": pa.array(np.ones(b.num_rows, np.int64))})
-        return t.group_by(["day"]).aggregate([("one", "sum")]) \
-            .rename_columns(["day", "c"])
-
-    daily = read_table(sf_dir, "events", columns=["ts"]) \
-        .map_batches(day, batch_format="pyarrow") \
-        .groupby("day").aggregate(Sum("c", alias_name="cnt")) \
-        .to_pandas().sort_values("day").reset_index(drop=True)
+    daily = _daily_counts(sf_dir)
     empty = pa.table({"day": pa.array([], pa.timestamp("us")),
                       "cnt": pa.array([], pa.int64()),
                       "forecast": pa.array([], pa.int64()),
@@ -2800,18 +2710,11 @@ def line_priority_counts(sf_dir: str) -> rd.Dataset:
                       "lo": pc.subtract(pa.scalar(1, pa.int64()), b["hi"])})
         return t.group_by(["l_returnflag"]).aggregate(
             [("hi", "sum"), ("lo", "sum")]) \
-            .rename_columns(["l_returnflag", "hi_p", "lo_p"])
+            .rename_columns(["l_returnflag", "high_line_count",
+                             "low_line_count"])
 
-    out = j.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["l_returnflag"]).aggregate(
-            Sum("hi_p", alias_name="high_line_count"),
-            Sum("lo_p", alias_name="low_line_count"))
-    return out.map_batches(
-        lambda b: pa.table({
-            "l_returnflag": b["l_returnflag"],
-            "high_line_count": pc.cast(b["high_line_count"], pa.int64()),
-            "low_line_count": pc.cast(b["low_line_count"], pa.int64())}),
-        batch_format="pyarrow")
+    return grouped_fold(j, ["l_returnflag"], partial, [
+        ("high_line_count", "sum"), ("low_line_count", "sum")])
 
 
 def promo_revenue_share(sf_dir: str) -> rd.Dataset:
@@ -3554,12 +3457,8 @@ def volume_shipping(sf_dir: str) -> rd.Dataset:
                 pc.subtract(pa.scalar(1.0), b["l_discount"]))})
 
     ds = j.map_batches(derive, batch_format="pyarrow", batch_size=None)
-    partial = ds.map_batches(
-        _partial_sums(["supp_nation", "cust_nation", "l_year"],
-                      {"volume": "sum"}),
-        batch_format="pyarrow")
-    out = partial.groupby(["supp_nation", "cust_nation", "l_year"]) \
-        .aggregate(Sum("volume_sum", alias_name="rev_f"))
+    out = grouped_sum(ds, ["supp_nation", "cust_nation", "l_year"],
+                      "volume", "rev_f")
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -3585,41 +3484,23 @@ def customer_order_distribution(sf_dir: str) -> rd.Dataset:
     from ..stages.dedup import _num_partitions
     from ..stages.joins import lookup_join
 
-    def project(b: pa.Table) -> pa.Table:
-        f = b.filter(pc.not_equal(b["o_orderpriority"],
-                                  Q13_EXCLUDE_PRIORITY))
-        return pa.table({
-            "o_custkey": f["o_custkey"],
-            "one": pa.array(np.ones(f.num_rows, np.int64))})
-
     orders = read_table(sf_dir, "orders",
                         columns=["o_custkey", "o_orderpriority"]) \
-        .map_batches(project, batch_format="pyarrow", batch_size=None)
-    partial = orders.map_batches(
-        _partial_sums(["o_custkey"], {"one": "sum"}),
-        batch_format="pyarrow")
-    counts = partial.groupby("o_custkey").aggregate(
-        Sum("one_sum", alias_name="c_count"))
+        .map_batches(lambda b: b.filter(pc.not_equal(
+            b["o_orderpriority"], Q13_EXCLUDE_PRIORITY)),
+            batch_format="pyarrow", batch_size=None)
+    counts = grouped_count(orders, ["o_custkey"], "c_count")
 
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
     nparts = _num_partitions(cust)
     j = lookup_join(cust, counts, "c_custkey", "o_custkey",
                     nparts=nparts, how="left")
 
-    def zero_fill(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_count": pc.fill_null(b["c_count"], 0).cast(pa.int64()),
-            "one": pa.array(np.ones(b.num_rows, np.int64))})
-
-    hist = j.map_batches(zero_fill, batch_format="pyarrow",
-                         batch_size=None)
-    hp = hist.map_batches(_partial_sums(["c_count"], {"one": "sum"}),
-                          batch_format="pyarrow")
-    out = hp.groupby("c_count").aggregate(
-        Sum("one_sum", alias_name="custdist"))
-    return out.map_batches(
-        lambda b: b.select(["c_count", "custdist"]),
-        batch_format="pyarrow", batch_size=None) \
+    hist = j.map_batches(
+        lambda b: pa.table({
+            "c_count": pc.fill_null(b["c_count"], 0).cast(pa.int64())}),
+        batch_format="pyarrow", batch_size=None)
+    return grouped_count(hist, ["c_count"], "custdist") \
         .sort(["custdist", "c_count"], descending=[True, True])
 
 
@@ -3629,7 +3510,7 @@ Q15_DATE_HI = "1996-04-01"
 
 def top_supplier(sf_dir: str) -> rd.Dataset:
     """TPC-H Q15 shape: supplier(s) with the maximum quarterly revenue.
-    Revenue folds per supplier (partial -> groupby, supplier-key
+    Revenue folds per supplier (partial -> grouped fold, supplier-key
     cardinality, never the lineitem stream); the per-supplier table is
     dim-sized by construction, so it materializes once, the scalar max
     comes off it, and the winners join the supplier names by broadcast.
@@ -3649,11 +3530,7 @@ def top_supplier(sf_dir: str) -> rd.Dataset:
                 pc.greater_equal(b["l_shipdate"], pa.scalar(lo)),
                 pc.less(b["l_shipdate"], pa.scalar(hi))))),
             batch_format="pyarrow", batch_size=None)
-    partial = li.map_batches(_partial_sums(["l_suppkey"],
-                                           {"volume": "sum"}),
-                             batch_format="pyarrow")
-    rev = partial.groupby("l_suppkey").aggregate(
-        Sum("volume_sum", alias_name="rev_f")) \
+    rev = grouped_sum(li, ["l_suppkey"], "volume", "rev_f") \
         .map_batches(lambda b: pa.table({
             "l_suppkey": b["l_suppkey"],
             "total_revenue": pa.array(
@@ -3689,7 +3566,7 @@ def small_quantity_revenue(sf_dir: str) -> Any:
     """TPC-H Q17 shape: weekly-averaged revenue lost to small-quantity
     orders of one brand.  The brand filter collapses part to a broadcast
     key set that prunes the lineitem stream at the probe; per-part mean
-    quantity folds on the pruned stream (partial sum+count -> groupby)
+    quantity folds on the pruned stream (partial sum+count -> grouped fold)
     into a second dim-sized broadcast; the same pruned stream then probes
     the means and a one-row global sum comes off the per-block partials.
     Output one row (avg_yearly)."""
@@ -3706,16 +3583,13 @@ def small_quantity_revenue(sf_dir: str) -> Any:
     li = lookup_join(li, brand_parts, "l_partkey", "p_partkey",
                      how="inner")
 
-    def pre(b: pa.Table) -> pa.Table:
-        return b.append_column("one", pa.array(
-            np.ones(b.num_rows, np.int64)))
-    stats = li.map_batches(pre, batch_format="pyarrow", batch_size=None) \
-        .map_batches(_partial_sums(["l_partkey"],
-                                   {"l_quantity": "sum", "one": "sum"}),
-                     batch_format="pyarrow") \
-        .groupby("l_partkey").aggregate(
-            Sum("l_quantity_sum", alias_name="qty_sum"),
-            Sum("one_sum", alias_name="n")) \
+    def partial(b: pa.Table) -> pa.Table:
+        return b.group_by(["l_partkey"]).aggregate(
+            [("l_quantity", "sum"), ([], "count_all")]) \
+            .rename_columns(["l_partkey", "qty_sum", "n"])
+
+    stats = grouped_fold(li, ["l_partkey"], partial,
+                         [("qty_sum", "sum"), ("n", "sum")]) \
         .map_batches(lambda b: pa.table({
             "l_partkey": b["l_partkey"],
             "qty_cut": pc.multiply(
@@ -3757,11 +3631,7 @@ def large_volume_customers(sf_dir: str, k: int = 100) -> rd.Dataset:
     li = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_quantity"])
     nparts = _num_partitions(li)
-    partial = li.map_batches(_partial_sums(["l_orderkey"],
-                                           {"l_quantity": "sum"}),
-                             batch_format="pyarrow")
-    big = partial.groupby("l_orderkey").aggregate(
-        Sum("l_quantity_sum", alias_name="total_qty")) \
+    big = grouped_sum(li, ["l_orderkey"], "l_quantity", "total_qty") \
         .map_batches(lambda b: b.filter(pc.greater(
             b["total_qty"], pa.scalar(Q18_QTY_THRESHOLD))),
             batch_format="pyarrow", batch_size=None) \
@@ -3800,8 +3670,6 @@ def waiting_suppliers(sf_dir: str, k: int = 20) -> rd.Dataset:
     qualifying orders form a broadcast key set that pulls back the one
     late supplier each.  Output (s_name, numwait) sorted numwait desc,
     s_name, limit k."""
-    from ray.data.aggregate import Max
-
     from ..stages.dedup import _num_partitions
     from ..stages.joins import lookup_join
 
@@ -3832,21 +3700,16 @@ def waiting_suppliers(sf_dir: str, k: int = 20) -> rd.Dataset:
     # consume this — unmaterialized, the parse-join-aggregate lineage
     # would execute twice (observed 12.7 s -> 7 s at sf0.1).  Fact-scale
     # but exchange-reduced; the object store spills it if needed.
-    per_supp = j.map_batches(tag, batch_format="pyarrow") \
-        .groupby(["l_orderkey", "l_suppkey"]) \
-        .aggregate(Max("late", alias_name="late")).materialize()
+    per_supp = grouped_fold(j, ["l_orderkey", "l_suppkey"], tag,
+                            [("late", "max")]).materialize()
 
     def order_partial(b: pa.Table) -> pa.Table:
-        t = b.append_column("one", pa.array(np.ones(b.num_rows, np.int64)))
-        return t.group_by(["l_orderkey"]) \
-            .aggregate([("one", "sum"), ("late", "sum")]) \
+        return b.group_by(["l_orderkey"]) \
+            .aggregate([([], "count_all"), ("late", "sum")]) \
             .rename_columns(["l_orderkey", "nsupp", "nlate"])
 
-    per_order = per_supp.map_batches(order_partial,
-                                     batch_format="pyarrow") \
-        .groupby("l_orderkey").aggregate(
-            Sum("nsupp", alias_name="nsupp"),
-            Sum("nlate", alias_name="nlate"))
+    per_order = grouped_fold(per_supp, ["l_orderkey"], order_partial,
+                             [("nsupp", "sum"), ("nlate", "sum")])
     blamed_orders = per_order.map_batches(
         lambda b: b.filter(pc.and_(pc.greater(b["nsupp"], pa.scalar(1)),
                                    pc.equal(b["nlate"], pa.scalar(1))))
@@ -3864,17 +3727,8 @@ def waiting_suppliers(sf_dir: str, k: int = 20) -> rd.Dataset:
         blamed,
         read_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"]),
         "l_suppkey", "s_suppkey", how="inner")
-    partial = named.map_batches(
-        lambda b: pa.table({
-            "s_name": b["s_name"],
-            "one": pa.array(np.ones(b.num_rows, np.int64))}),
-        batch_format="pyarrow", batch_size=None) \
-        .map_batches(_partial_sums(["s_name"], {"one": "sum"}),
-                     batch_format="pyarrow")
-    out = partial.groupby("s_name").aggregate(
-        Sum("one_sum", alias_name="numwait"))
-    return out.sort(["numwait", "s_name"],
-                    descending=[True, False]).limit(k)
+    return grouped_count(named, ["s_name"], "numwait") \
+        .sort(["numwait", "s_name"], descending=[True, False]).limit(k)
 
 
 Q8_REGION = "EUROPE"
@@ -3948,20 +3802,18 @@ def nation_market_share(sf_dir: str) -> rd.Dataset:
     j = lookup_join(li, orders, "l_orderkey", "o_orderkey",
                     nparts=nparts, how="inner")
 
-    def derive(b: pa.Table) -> pa.Table:
+    aggs = [("tot", "sum"), ("nat", "sum")]
+
+    def partial(b: pa.Table) -> pa.Table:
         vol = pc.multiply(b["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
         flag = pc.cast(pc.equal(b["supp_nation"], Q8_NATION), pa.float64())
-        return pa.table({"o_year": b["o_year"], "volume": vol,
-                         "nation_volume": pc.multiply(vol, flag)})
+        t = pa.table({"o_year": b["o_year"], "tot": vol,
+                      "nat": pc.multiply(vol, flag)})
+        return t.group_by(["o_year"]).aggregate(aggs) \
+            .rename_columns(["o_year", "tot", "nat"])
 
-    ds = j.map_batches(derive, batch_format="pyarrow", batch_size=None)
-    partial = ds.map_batches(
-        _partial_sums(["o_year"], {"volume": "sum", "nation_volume": "sum"}),
-        batch_format="pyarrow")
-    out = partial.groupby("o_year").aggregate(
-        Sum("volume_sum", alias_name="tot"),
-        Sum("nation_volume_sum", alias_name="nat"))
+    out = grouped_fold(j, ["o_year"], partial, aggs)
 
     def finish(b: pa.Table) -> pa.Table:
         share = b["nat"].to_numpy() / b["tot"].to_numpy()
@@ -4024,11 +3876,7 @@ def product_type_profit(sf_dir: str) -> rd.Dataset:
                          "amount": pc.subtract(revenue, cost)})
 
     ds = j.map_batches(derive, batch_format="pyarrow", batch_size=None)
-    partial = ds.map_batches(
-        _partial_sums(["nation", "o_year"], {"amount": "sum"}),
-        batch_format="pyarrow")
-    out = partial.groupby(["nation", "o_year"]).aggregate(
-        Sum("amount_sum", alias_name="profit_f"))
+    out = grouped_sum(ds, ["nation", "o_year"], "amount", "profit_f")
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -4105,22 +3953,10 @@ def dominant_part_suppliers(sf_dir: str) -> rd.Dataset:
 
     li = read_table(sf_dir, "lineitem",
                     columns=["l_partkey", "l_suppkey", "l_quantity"])
-    partial = li.map_batches(
-        _partial_sums(["l_partkey", "l_suppkey"], {"l_quantity": "sum"}),
-        batch_format="pyarrow")
-    ps = partial.groupby(["l_partkey", "l_suppkey"]).aggregate(
-        Sum("l_quantity_sum", alias_name="q"))
+    ps = grouped_sum(li, ["l_partkey", "l_suppkey"], "l_quantity", "q")
     top = grouped_top_k(ps, ["l_partkey"], "q", 1,
                         descending=True, tie_cols=["l_suppkey"])
-    counted = top.map_batches(
-        lambda b: pa.table({
-            "l_suppkey": b["l_suppkey"],
-            "one": pa.array(np.ones(b.num_rows, np.int64))}),
-        batch_format="pyarrow", batch_size=None) \
-        .map_batches(_partial_sums(["l_suppkey"], {"one": "sum"}),
-                     batch_format="pyarrow") \
-        .groupby("l_suppkey").aggregate(Sum("one_sum",
-                                            alias_name="n_dominated"))
+    counted = grouped_count(top, ["l_suppkey"], "n_dominated")
     named = lookup_join(
         counted,
         read_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"]),
@@ -4284,21 +4120,17 @@ def events_daily_metrics_long(sf_dir: str) -> rd.Dataset:
     per day per block, one day-key exchange); the melt itself is a
     per-block constant-fanout concat — three rows per day, no exchange.
     Output (day, metric, value) sorted by (day, metric)."""
-    from ray.data.aggregate import Max, Sum
-
     def pre(b: pa.Table) -> pa.Table:
         t = pa.table({"day": pc.floor_temporal(b["ts"], unit="day"),
                       "one": pa.array(np.ones(b.num_rows, np.int64)),
                       "value": b["value"]})
         return t.group_by(["day"]).aggregate(
             [("one", "sum"), ("value", "sum"), ("value", "max")]) \
-            .rename_columns(["day", "n", "vs", "vm"])
+            .rename_columns(["day", "n_events", "total_value", "max_value"])
 
-    agg_ds = read_table(sf_dir, "events", columns=["ts", "value"]) \
-        .map_batches(pre, batch_format="pyarrow") \
-        .groupby("day").aggregate(Sum("n", alias_name="n_events"),
-                                  Sum("vs", alias_name="total_value"),
-                                  Max("vm", alias_name="max_value"))
+    agg_ds = grouped_fold(
+        read_table(sf_dir, "events", columns=["ts", "value"]), ["day"], pre,
+        [("n_events", "sum"), ("total_value", "sum"), ("max_value", "max")])
 
     def melt(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -4323,32 +4155,29 @@ def events_daily_metrics_long(sf_dir: str) -> rd.Dataset:
 def events_value_trend_by_type(sf_dir: str) -> rd.Dataset:
     """Per-group least-squares fit (slope/intercept of value on
     hour-of-day) — distributed regression via sufficient statistics: each
-    block folds (n, Σx, Σy, Σxx, Σxy) per group, one tiny exchange sums
+    block folds (n, Σx, Σy, Σxx, Σxy) per group, one grouped fold sums
     them, and the normal equations solve per group on |groups| rows.
     hour-of-day x keeps the moments small so the closed form is
     numerically safe without centering (an epoch-scale x would need the
     two-pass centered variant).  Output (event_type, slope, intercept, n)
     ordered by type."""
+    sums = ["n", "sx", "sy", "sxx", "sxy"]
+    aggs = [(c, "sum") for c in sums]
+
     def moments(b: pa.Table) -> pa.Table:
         x = pc.cast(pc.hour(b["ts"]), pa.float64())
         y = b["value"]
         t = pa.table({"event_type": b["event_type"],
-                      "n1": pa.array(np.ones(b.num_rows, np.int64)),
+                      "n": pa.array(np.ones(b.num_rows, np.int64)),
                       "sx": x, "sy": y,
                       "sxx": pc.multiply(x, x),
                       "sxy": pc.multiply(x, y)})
-        return t.group_by(["event_type"]).aggregate(
-            [("n1", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxx", "sum"), ("sxy", "sum")]) \
-            .rename_columns(["event_type", "n1", "sx", "sy", "sxx", "sxy"])
+        return t.group_by(["event_type"]).aggregate(aggs) \
+            .rename_columns(["event_type"] + sums)
 
-    folded = read_table(sf_dir, "events",
-                        columns=["event_type", "ts", "value"]) \
-        .map_batches(moments, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(
-            Sum("n1", alias_name="n"), Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"), Sum("sxx", alias_name="sxx"),
-            Sum("sxy", alias_name="sxy"))
+    folded = grouped_fold(
+        read_table(sf_dir, "events", columns=["event_type", "ts", "value"]),
+        ["event_type"], moments, aggs)
 
     def solve(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy().astype(np.float64)
@@ -4561,7 +4390,7 @@ def events_value_quantile_normalized(sf_dir: str) -> rd.Dataset:
 def events_value_means_by_type(sf_dir: str) -> rd.Dataset:
     """Arithmetic / geometric / harmonic mean per group in ONE fold: all
     three are monoid sums (Σy, Σln y, Σ1/y) plus a count, so the whole
-    op is a per-block grouped partial -> one tiny exchange -> vectorized
+    op is a per-block grouped partial -> one grouped fold -> vectorized
     finish.  A zero value makes the geometric and harmonic mean exactly
     0 — the engine's inf arithmetic reaches that limit naturally
     (sum ln -> -inf -> exp 0; sum 1/v -> inf -> n/inf 0), and the oracle
@@ -4572,20 +4401,17 @@ def events_value_means_by_type(sf_dir: str) -> rd.Dataset:
         with np.errstate(divide="ignore"):   # v=0 -> -inf/inf by design
             logs, invs = np.log(v), 1.0 / v
         t = pa.table({"event_type": b["event_type"],
-                      "n1": pa.array(np.ones(b.num_rows, np.int64)),
                       "s": b["value"],
                       "sl": pa.array(logs),
                       "si": pa.array(invs)})
         return t.group_by(["event_type"]).aggregate(
-            [("n1", "sum"), ("s", "sum"), ("sl", "sum"), ("si", "sum")]) \
-            .rename_columns(["event_type", "n1", "s", "sl", "si"])
+            [([], "count_all"), ("s", "sum"), ("sl", "sum"), ("si", "sum")]) \
+            .rename_columns(["event_type", "n", "s", "sl", "si"])
 
-    folded = read_table(sf_dir, "events",
-                        columns=["event_type", "value"]) \
-        .map_batches(fold, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(
-            Sum("n1", alias_name="n"), Sum("s", alias_name="s"),
-            Sum("sl", alias_name="sl"), Sum("si", alias_name="si"))
+    folded = grouped_fold(
+        read_table(sf_dir, "events", columns=["event_type", "value"]),
+        ["event_type"], fold,
+        [("n", "sum"), ("s", "sum"), ("sl", "sum"), ("si", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy().astype(np.float64)
@@ -4608,17 +4434,13 @@ def events_type_hour_chi2(sf_dir: str) -> Any:
     expectations and the statistic all finish on the folded result.
     Output one row (chi2, dof) round-4."""
     def cells(b: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": b["event_type"],
-                      "hour": pc.hour(b["ts"]),
-                      "one": pa.array(np.ones(b.num_rows, np.int64))})
-        return t.group_by(["event_type", "hour"]).aggregate(
-            [("one", "sum")]).rename_columns(["event_type", "hour", "c"])
+        return pa.table({"event_type": b["event_type"],
+                         "hour": pc.hour(b["ts"])})
 
-    folded = read_table(sf_dir, "events",
-                        columns=["event_type", "ts"]) \
-        .map_batches(cells, batch_format="pyarrow") \
-        .groupby(["event_type", "hour"]).aggregate(
-            Sum("c", alias_name="obs")).to_pandas()
+    folded = grouped_count(
+        read_table(sf_dir, "events", columns=["event_type", "ts"])
+        .map_batches(cells, batch_format="pyarrow"),
+        ["event_type", "hour"], "obs").to_pandas()
     if not len(folded):
         return pd.DataFrame({"chi2": pd.array([None], dtype="float64"),
                              "dof": pd.array([None], dtype="Int64")})
@@ -4831,16 +4653,12 @@ def events_drift_report(sf_dir: str) -> rd.Dataset:
         .materialize()
 
     def fold(b: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": b["event_type"], "isa": b["isa"],
-                      "one": pa.array(np.ones(b.num_rows, np.int64)),
-                      "v": b["value"]})
-        return t.group_by(["event_type", "isa"]).aggregate(
-            [("one", "sum"), ("v", "sum")]) \
+        return b.group_by(["event_type", "isa"]).aggregate(
+            [([], "count_all"), ("value", "sum")]) \
             .rename_columns(["event_type", "isa", "n", "v"])
 
-    cells = ds.map_batches(fold, batch_format="pyarrow") \
-        .groupby(["event_type", "isa"]).aggregate(
-            Sum("n", alias_name="n"), Sum("v", alias_name="v")) \
+    cells = grouped_fold(ds, ["event_type", "isa"], fold,
+                         [("n", "sum"), ("v", "sum")]) \
         .to_pandas()          # <= 2 x |types| rows by construction
     empty = pa.table({"metric": pa.array([], pa.string()),
                       "value": pa.array([], pa.float64())})
@@ -4876,21 +4694,16 @@ def events_k_anonymity(sf_dir: str, k: int = KANON_K) -> rd.Dataset:
     plus the rows-at-risk total.  Output (event_type, hour, user_band,
     n) for every violating combination, ordered."""
     def qi(b: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "event_type": b["event_type"],
             "hour": pc.hour(b["ts"]),
             "user_band": pc.cast(
-                pc.divide(b["user_id"], pa.scalar(100)), pa.int64()),
-            "one": pa.array(np.ones(b.num_rows, np.int64))})
-        return t.group_by(["event_type", "hour", "user_band"]).aggregate(
-            [("one", "sum")]).rename_columns(
-            ["event_type", "hour", "user_band", "c"])
+                pc.divide(b["user_id"], pa.scalar(100)), pa.int64())})
 
-    folded = read_table(sf_dir, "events",
-                        columns=["event_type", "ts", "user_id"]) \
-        .map_batches(qi, batch_format="pyarrow") \
-        .groupby(["event_type", "hour", "user_band"]).aggregate(
-            Sum("c", alias_name="n"))
+    folded = grouped_count(
+        read_table(sf_dir, "events", columns=["event_type", "ts", "user_id"])
+        .map_batches(qi, batch_format="pyarrow"),
+        ["event_type", "hour", "user_band"], "n")
     # the violating set is tiny by definition (< k rows per combo); a
     # fully-clean corpus yields an EMPTY result whose schema a sort of
     # zero blocks would drop — pin it explicitly
@@ -4929,10 +4742,8 @@ def events_value_zscore(sf_dir: str) -> rd.Dataset:
 
     ds = read_table(sf_dir, "events",
                     columns=["event_id", "event_type", "value"])
-    stats = ds.map_batches(fold, batch_format="pyarrow") \
-        .groupby("event_type").aggregate(
-            Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-            Sum("ss", alias_name="ss")) \
+    stats = grouped_fold(ds, ["event_type"], fold,
+                         [("n", "sum"), ("s", "sum"), ("ss", "sum")]) \
         .map_batches(lambda b: (lambda n, s, ss: pa.table({
             "event_type": b["event_type"],
             "mu": pa.array(s / n),
@@ -5087,9 +4898,7 @@ def important_stock(sf_dir: str) -> rd.Dataset:
             "l_partkey": b["l_partkey"],
             "v": pc.multiply(b["l_extendedprice"], b["l_quantity"])}),
             batch_format="pyarrow", batch_size=None)
-    pv = li.map_batches(_partial_sums(["l_partkey"], {"v": "sum"}),
-                        batch_format="pyarrow") \
-        .groupby("l_partkey").aggregate(Sum("v_sum", alias_name="v")) \
+    pv = grouped_sum(li, ["l_partkey"], "v", "v") \
         .materialize()   # part-cardinality fold
     total = pv.sum("v")
     if total is None:  # suppliers exist but shipped nothing at this sf
@@ -5217,22 +5026,12 @@ def events_daily_ewma(sf_dir: str) -> rd.Dataset:
     calendar-bounded — ~30 rows per month whatever the fact scale), and
     the recursion runs on that tiny fold.  Output (day, cnt, ewma)
     round-4, by day."""
-    def day(b: pa.Table) -> pa.Table:
-        t = pa.table({"day": pc.floor_temporal(b["ts"], unit="day"),
-                      "one": pa.array(np.ones(b.num_rows, np.int64))})
-        return t.group_by(["day"]).aggregate([("one", "sum")]) \
-            .rename_columns(["day", "c"])
-
-    daily = read_table(sf_dir, "events", columns=["ts"]) \
-        .map_batches(day, batch_format="pyarrow") \
-        .groupby("day").aggregate(Sum("c", alias_name="cnt")) \
-        .to_pandas()   # calendar-bounded: ~#days rows
+    daily = _daily_counts(sf_dir)
     empty = pa.table({"day": pa.array([], pa.timestamp("us")),
                       "cnt": pa.array([], pa.int64()),
                       "ewma": pa.array([], pa.float64())})
     if not len(daily):
         return rd.from_arrow(empty)
-    daily = daily.sort_values("day").reset_index(drop=True)
     x = daily["cnt"].to_numpy().astype(np.float64)
     s = np.empty_like(x)
     s[0] = x[0]
@@ -5263,18 +5062,15 @@ def events_json_field_stats(sf_dir: str) -> rd.Dataset:
     def extract(b: pa.Table) -> pa.Table:
         m = pc.extract_regex(b["props"], PROPS_RE)
         v = pc.cast(pc.struct_field(m, "v"), pa.int64())
-        ok = pc.is_valid(v)
-        return pa.table({"event_type": b["event_type"],
-                         "one": pc.cast(ok, pa.int64()),
-                         "k": pc.fill_null(v, 0)})
+        t = pa.table({"event_type": b["event_type"],
+                      "n": pc.cast(pc.is_valid(v), pa.int64()),
+                      "sum_k": pc.fill_null(v, 0)})
+        return t.group_by(["event_type"]).aggregate(
+            [("n", "sum"), ("sum_k", "sum")]) \
+            .rename_columns(["event_type", "n", "sum_k"])
 
-    pre = ds.map_batches(extract, batch_format="pyarrow", batch_size=None) \
-        .map_batches(_partial_sums(["event_type"],
-                                   {"one": "sum", "k": "sum"}),
-                     batch_format="pyarrow")
-    out = pre.groupby("event_type").aggregate(
-        Sum("one_sum", alias_name="n"),
-        Sum("k_sum", alias_name="sum_k")).to_pandas()
+    out = grouped_fold(ds, ["event_type"], extract,
+                       [("n", "sum"), ("sum_k", "sum")]).to_pandas()
     empty = pa.table({"event_type": pa.array([], pa.string()),
                       "n": pa.array([], pa.int64()),
                       "sum_k": pa.array([], pa.int64()),
@@ -5378,11 +5174,9 @@ def events_benford_audit(sf_dir: str) -> rd.Dataset:
             iv = np.where(big, iv // 10, iv)
         cnt = np.bincount(iv, minlength=10)[1:10]
         return pa.table({"digit": pa.array(np.arange(1, 10), pa.int64()),
-                         "c": pa.array(cnt, pa.int64())})
+                         "cnt": pa.array(cnt, pa.int64())})
 
-    fold = ds.map_batches(digits, batch_format="pyarrow",
-                          batch_size=None) \
-        .groupby("digit").aggregate(Sum("c", alias_name="cnt")).to_pandas()
+    fold = grouped_fold(ds, ["digit"], digits, [("cnt", "sum")]).to_pandas()
     empty = pa.table({"digit": pa.array([], pa.int64()),
                       "cnt": pa.array([], pa.int64()),
                       "freq": pa.array([], pa.float64()),
@@ -5415,22 +5209,12 @@ def events_daily_cusum(sf_dir: str) -> rd.Dataset:
     fact stream folds partial-first to a calendar-bounded series and the
     recursion runs on the ~30-row fold; mean/std are exact (integer
     sums in double).  Output (day, cnt, cusum round-4) by day."""
-    def day(b: pa.Table) -> pa.Table:
-        t = pa.table({"day": pc.floor_temporal(b["ts"], unit="day"),
-                      "one": pa.array(np.ones(b.num_rows, np.int64))})
-        return t.group_by(["day"]).aggregate([("one", "sum")]) \
-            .rename_columns(["day", "c"])
-
-    daily = read_table(sf_dir, "events", columns=["ts"]) \
-        .map_batches(day, batch_format="pyarrow") \
-        .groupby("day").aggregate(Sum("c", alias_name="cnt")) \
-        .to_pandas()   # calendar-bounded
+    daily = _daily_counts(sf_dir)
     empty = pa.table({"day": pa.array([], pa.timestamp("us")),
                       "cnt": pa.array([], pa.int64()),
                       "cusum": pa.array([], pa.float64())})
     if not len(daily):
         return rd.from_arrow(empty)
-    daily = daily.sort_values("day").reset_index(drop=True)
     x = daily["cnt"].to_numpy().astype(np.float64)
     mean = x.sum() / len(x)
     std = float(np.sqrt((x * x).sum() / len(x) - mean * mean))

@@ -232,16 +232,8 @@ def stream_dedup_natural_keys(sf_dir: str) -> rd.Dataset:
 def watermarks(sf_dir: str) -> rd.Dataset:
     """A4: max(datetime) per (service, server) — the incremental-load
     high-water mark (/root/reference/src/models.rs:259-293)."""
-    from ray.data.aggregate import Max
-    out = parsed(sf_dir).groupby(["service", "server"]).aggregate(
-        Max("datetime", alias_name="watermark"))
-    # Ray's Max funnels through pandas and can coarsen the timestamp unit;
-    # pin the sink schema to timestamp[us].
-    return out.map_batches(
-        lambda b: b.set_column(
-            b.schema.get_field_index("watermark"), "watermark",
-            pc.cast(b["watermark"], pa.timestamp("us"))),
-        batch_format="pyarrow")
+    return agg.grouped_max(parsed(sf_dir), ["service", "server"],
+                           "datetime", "watermark")
 
 
 def incremental_parsed(sf_dir: str) -> rd.Dataset:
@@ -731,8 +723,6 @@ def conversation_curated_corpus(sf_dir: str, min_convs: int = 3) -> rd.Dataset:
     kernel after the single conv_id hash exchange, and the exact dedup is
     the combiner-first grouped min.  Two wide exchanges total; nothing
     corpus-sized on the driver.  Output (conv_id, sft_text, n_turns)."""
-    from ray.data.aggregate import Min
-
     from ..pipelines.streaming import _by_key_blocks
     from ..stages.joins import lookup_join
 
@@ -761,13 +751,9 @@ def conversation_curated_corpus(sf_dir: str, min_convs: int = 3) -> rd.Dataset:
             [("conv_id", "min"), ("n_turns", "min")]) \
             .rename_columns(["sft_text", "conv_id", "n_turns"])
 
-    pre = kept.map_batches(partial_min, batch_format="pyarrow")
-    out = pre.groupby("sft_text").aggregate(
-        Min("conv_id", alias_name="conv_id"),
-        Min("n_turns", alias_name="n_turns"))
-    return out.map_batches(
-        lambda b: b.select(["conv_id", "sft_text", "n_turns"]),
-        batch_format="pyarrow", batch_size=None)
+    return agg.grouped_fold(kept, ["sft_text"], partial_min,
+                            [("conv_id", "min"), ("n_turns", "min")]) \
+        .select_columns(["conv_id", "sft_text", "n_turns"])
 
 
 ANOMALY_Z = 3
@@ -1305,16 +1291,13 @@ def top_hosts_per_country_ties(sf_dir: str, k: int = 3) -> rd.Dataset:
     k-th count (min over its <=k survivors), the thresholds broadcast,
     and one vectorized probe filters the (materialized once) count
     table — the group's full extent never co-locates."""
-    from ray.data.aggregate import Min
-
     from ..stages.joins import lookup_join
 
     counts = agg.grouped_count(_host_counts_inner(sf_dir),
                                ["country", "host"]).materialize()
     top = agg.grouped_top_k(counts, ["country"], "cnt", k,
                             tie_cols=["host"])
-    thresh = top.groupby("country").aggregate(
-        Min("cnt", alias_name="kth")).materialize()
+    thresh = agg.grouped_min(top, ["country"], "cnt", "kth").materialize()
     j = lookup_join(counts, thresh, "country", "country", how="inner")
     out = j.map_batches(
         lambda b: b.filter(pc.greater_equal(b["cnt"], b["kth"]))

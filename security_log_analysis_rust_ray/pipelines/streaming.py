@@ -188,22 +188,20 @@ def session_bounce_rate(sf_dir: str,
     (two small counts fused into one pass over the session
     stream).  Output (day, sessions, bounces, bounce_rate round 6)."""
     from ..functions.util import round_half_up
+    from ..stages.aggregate import grouped_fold
     sess = sessionize(sf_dir, gap_s)
 
     def day_fold(b: pa.Table) -> pa.Table:
         d = pc.divide(b["session_start"].cast(pa.int64()),
                       pa.scalar(DAY_US, pa.int64()))
         one = pc.cast(pc.equal(b["n_events"], pa.scalar(1)), pa.int64())
-        t = pa.table({"day": d, "s": pa.array(
-            np.ones(b.num_rows, np.int64)), "b": one})
-        return t.group_by(["day"]).aggregate([("s", "sum"), ("b", "sum")]) \
-            .rename_columns(["day", "s", "b"])
+        t = pa.table({"day": d, "b": one})
+        return t.group_by(["day"]).aggregate([([], "count_all"),
+                                              ("b", "sum")]) \
+            .rename_columns(["day", "sessions", "bounces"])
 
-    from ray.data.aggregate import Sum
-    agg_t = sess.map_batches(day_fold, batch_format="pyarrow",
-                             batch_size=None) \
-        .groupby("day").aggregate(Sum("s", alias_name="sessions"),
-                                  Sum("b", alias_name="bounces")) \
+    agg_t = grouped_fold(sess, ["day"], day_fold,
+                         [("sessions", "sum"), ("bounces", "sum")]) \
         .to_pandas().sort_values("day").reset_index(drop=True)
     empty = pa.table({"day": pa.array([], pa.int64()),
                       "sessions": pa.array([], pa.int64()),
@@ -521,8 +519,8 @@ def events_tumbling_window_late(sf_dir: str) -> rd.Dataset:
     (w_start, cnt_on_time, cnt_late_dropped); exact -> the oracle
     restates the watermark as a SQL running-max window."""
     import ray
-    from ray.data.aggregate import Sum
 
+    from ..stages.aggregate import grouped_fold
     ev = read_table(sf_dir, "events", columns=["event_id", "ts"])
     ds = ev.sort("event_id").materialize()
 
@@ -550,8 +548,8 @@ def events_tumbling_window_late(sf_dir: str) -> rd.Dataset:
     def flag(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return pa.table({"w_start": pa.array([], pa.int64()),
-                             "on": pa.array([], pa.int64()),
-                             "late": pa.array([], pa.int64())})
+                             "cnt_on_time": pa.array([], pa.int64()),
+                             "cnt_late_dropped": pa.array([], pa.int64())})
         et = _event_time_us(b)
         pre = ray.get(ref)[int(b["event_id"][0].as_py())]
         run = np.maximum.accumulate(et)
@@ -569,19 +567,15 @@ def events_tumbling_window_late(sf_dir: str) -> rd.Dataset:
                       "late": pa.array(late.astype(np.int64))})
         g = t.group_by(["w_start"]).aggregate([("on", "sum"),
                                                ("late", "sum")])
-        return g.rename_columns(["w_start", "on", "late"])
+        return g.rename_columns(["w_start", "cnt_on_time",
+                                 "cnt_late_dropped"])
 
-    partial = ds.map_batches(flag, batch_format="pyarrow", batch_size=None)
-    out = partial.groupby("w_start").aggregate(
-        Sum("on", alias_name="cnt_on_time"),
-        Sum("late", alias_name="cnt_late_dropped"))
+    out = grouped_fold(ds, ["w_start"], flag, [
+        ("cnt_on_time", "sum"), ("cnt_late_dropped", "sum")])
 
     def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "w_start": b["w_start"].cast(pa.timestamp("us")),
-            "cnt_on_time": pc.cast(b["cnt_on_time"], pa.int64()),
-            "cnt_late_dropped": pc.cast(b["cnt_late_dropped"], pa.int64()),
-        })
+        return b.set_column(0, "w_start",
+                            b["w_start"].cast(pa.timestamp("us")))
     return out.map_batches(finish, batch_format="pyarrow",
                            batch_size=None).sort("w_start")
 

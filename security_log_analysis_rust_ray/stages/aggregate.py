@@ -8,12 +8,14 @@ combine only ever sees one row per (key, block) — this is also the
 salted-key answer to hot-key skew: a hot key contributes at most
 ``num_blocks`` partial rows regardless of its row count.
 
-Every grouped aggregate finishes in ``_grouped_fold``, a thin wrapper over
-``stages.dedup.keyed_fold`` — the one keyed exchange of the stage modules,
-also under distinct, dedup and per-group top-k: within
+Every grouped aggregate of the package finishes in ``grouped_fold``, a thin
+wrapper over ``stages.dedup.keyed_fold`` — the one keyed exchange, also
+under distinct, dedup and per-group top-k: within
 ``Config.broadcast_max_bytes`` the materialized partials are combined on the
 driver (the reference's vstack + re-group), beyond it they are
 hash-repartitioned on the keys and folded per block.  Callers never choose.
+Pipelines with a partial of their own pass it to ``grouped_fold`` directly;
+the rest use ``grouped_count/sum/min/max``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def grouped_count(ds: rd.Dataset, keys: list[str],
         g = b.group_by(keys).aggregate([([], "count_all")])
         return g.rename_columns(keys + [alias])
 
-    return _grouped_fold(ds, keys, partial, [(alias, "sum")])
+    return grouped_fold(ds, keys, partial, [(alias, "sum")])
 
 
 def grouped_sum(ds: rd.Dataset, keys: list[str], value_col: str,
@@ -50,20 +52,21 @@ def grouped_sum(ds: rd.Dataset, keys: list[str], value_col: str,
         g = b.group_by(keys).aggregate([(value_col, "sum")])
         return g.rename_columns(keys + [alias])
 
-    return _grouped_fold(ds, keys, partial, [(alias, "sum")])
+    return grouped_fold(ds, keys, partial, [(alias, "sum")])
 
 
-def _grouped_fold(ds: rd.Dataset, keys: list[str], partial,
+def grouped_fold(ds: rd.Dataset, keys: list[str], partial,
                   aggs: list[tuple[str, str]]) -> rd.Dataset:
-    """The one final combine under every grouped aggregate here.
+    """The one final combine under every grouped aggregate of the package.
 
     ``partial`` maps a batch to keys + the partial columns named in
-    ``aggs``; each (column, combine) pair folds that column per key with an
+    ``aggs`` (named as the outputs: the final keeps the names); each
+    (column, combine) pair folds that column per key with an
     associative+commutative Arrow hash aggregate ("sum", "min", "max"), so
     the partial/final split is exact and ``keyed_fold`` may finish on the
     driver (the reference's A2 final step, src/polars_analysis.rs:222-241)
     or per hash partition.  Output: keys + the ``aggs`` columns, null keys
-    restored."""
+    restored, in no particular row order (sort before a positional use)."""
     names = [c for c, _ in aggs]
 
     def final(t: pa.Table) -> pa.Table:
@@ -87,7 +90,7 @@ def grouped_min(ds: rd.Dataset, keys: list[str], value_col: str,
         g = b.group_by(keys).aggregate([(value_col, "min")])
         return g.rename_columns(keys + [alias])
 
-    return _grouped_fold(ds, keys, partial, [(alias, "min")])
+    return grouped_fold(ds, keys, partial, [(alias, "min")])
 
 
 def grouped_max(ds: rd.Dataset, keys: list[str], value_col: str,
@@ -99,7 +102,7 @@ def grouped_max(ds: rd.Dataset, keys: list[str], value_col: str,
         g = b.group_by(keys).aggregate([(value_col, "max")])
         return g.rename_columns(keys + [alias])
 
-    return _grouped_fold(ds, keys, partial, [(alias, "max")])
+    return grouped_fold(ds, keys, partial, [(alias, "max")])
 
 
 def top_k(ds: rd.Dataset, sort_col: str, keys_asc: list[str], k: int) -> rd.Dataset:
@@ -172,6 +175,19 @@ def add_year_month(batch: pa.Table) -> pa.Table:
             .append_column("month", pc.cast(pc.month(batch["datetime"]), pa.int32())))
 
 
+def _string_key_counts(b: pa.Table, keys: list[str]) -> pa.Table:
+    """In-batch full-key count (keys + "n") under ROLLUP / CUBE, whose
+    rolled cells use the string sentinel, so the keys must be strings —
+    checked on each batch's own schema (a lazy plan's ``schema()`` would
+    run and cancel a ``limit(1)`` execution)."""
+    for k in keys:
+        t = b.schema.field(k).type
+        assert t in (pa.string(), pa.large_string(), pa.null()), (k, t)
+    base = _fill_sentinel(b.select(keys), keys)
+    return base.group_by(keys).aggregate([([], "count_all")]) \
+        .rename_columns(keys + ["n"])
+
+
 def grouped_count_rollup(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
                          grp_col: str = "grp_id") -> rd.Dataset:
     """GROUP BY ROLLUP(keys) counts — every trailing-prefix grouping level
@@ -188,15 +204,10 @@ def grouped_count_rollup(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
     emits a grand-total row even for empty input; callers on possibly
     empty corpora must add it — the queries here run on never-empty
     sinks)."""
-    for k in keys:
-        f = ds.schema().base_schema.field(k)
-        assert f.type in (pa.string(), pa.large_string()), (k, f.type)
     full = keys + [grp_col]
 
     def partial(b: pa.Table) -> pa.Table:
-        base = _fill_sentinel(b.select(keys), keys)
-        g = base.group_by(keys).aggregate([([], "count_all")]) \
-            .rename_columns(keys + ["n"])
+        g = _string_key_counts(b, keys)
         outs = []
         for level in range(len(keys) + 1):
             kept = keys[:len(keys) - level]
@@ -224,7 +235,7 @@ def grouped_count_rollup(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
                  alias: pa.array([], pa.int64())})
         return pa.concat_tables(live)
 
-    return _grouped_fold(ds, full, partial, [(alias, "sum")])
+    return grouped_fold(ds, full, partial, [(alias, "sum")])
 
 
 def grouped_count_cube(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
@@ -239,16 +250,11 @@ def grouped_count_cube(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
     NULL cells can't collide with genuine null key values in a different
     grouping set.  String keys only; same empty-input caveat as
     ``grouped_count_rollup``."""
-    for k in keys:
-        f = ds.schema().base_schema.field(k)
-        assert f.type in (pa.string(), pa.large_string()), (k, f.type)
     nk = len(keys)
     full = keys + [grp_col]
 
     def partial(b: pa.Table) -> pa.Table:
-        base = _fill_sentinel(b.select(keys), keys)
-        g = base.group_by(keys).aggregate([([], "count_all")]) \
-            .rename_columns(keys + ["n"])
+        g = _string_key_counts(b, keys)
         outs = []
         for mask in range(1 << nk):
             kept = [keys[i] for i in range(nk)
@@ -277,7 +283,7 @@ def grouped_count_cube(ds: rd.Dataset, keys: list[str], alias: str = "cnt",
                  alias: pa.array([], pa.int64())})
         return pa.concat_tables(live)
 
-    return _grouped_fold(ds, full, partial, [(alias, "sum")])
+    return grouped_fold(ds, full, partial, [(alias, "sum")])
 
 
 def pivot_counts(ds: rd.Dataset, key: str, col: str,
@@ -304,7 +310,7 @@ def pivot_counts(ds: rd.Dataset, key: str, col: str,
         out = wide.group_by([key]).aggregate([(nm, "sum") for nm in names])
         return out.rename_columns([key] + names)
 
-    out = _grouped_fold(ds, [key], partial, [(nm, "sum") for nm in names])
+    out = grouped_fold(ds, [key], partial, [(nm, "sum") for nm in names])
 
     def finish(b: pa.Table) -> pa.Table:
         # a key whose rows all have a null ``col`` sums to null: count 0
@@ -336,7 +342,7 @@ def grouped_stats(ds: rd.Dataset, keys: list[str], value_col: str,
             (value_col, "min"), (value_col, "max")])
         return g.rename_columns(keys + ["_n", "_s", "_ss", "_min", "_max"])
 
-    out = _grouped_fold(ds, keys, partial, [
+    out = grouped_fold(ds, keys, partial, [
         ("_n", "sum"), ("_s", "sum"), ("_ss", "sum"), ("_min", "min"),
         ("_max", "max")])
 

@@ -12,19 +12,22 @@ pair graph):
             convergence is O(log diameter) rounds, not O(diameter))
   stop    = a round changes zero labels (an anti-join count, not a collect)
 
-Everything per round is a hash join / groupby-min / count over (node,label)
-rows — the driver orchestrates rounds but never materializes edges or
-labels.  Partitioning assumption: labels and edge endpoints hash-partition
-on the node id; a hot node (one doc near-duplicated everywhere) bounds at
-one (node, label) row after the per-round groupby-min, so skew dies in the
-combiner exactly like a hot aggregation key.
+Everything per round is a size-aware join / grouped min fold / count over
+(node, label) rows — the driver orchestrates rounds and never materializes
+edges; labels reach it only while the fold's partials fit the broadcast
+budget (``stages.aggregate.grouped_fold``).  Partitioning assumption: labels
+and edge endpoints hash-partition on the node id; a hot node (one doc
+near-duplicated everywhere) bounds at one (node, label) row after the
+per-round grouped min, so skew dies in the combiner exactly like a hot
+aggregation key.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 import ray.data as rd
-from ray.data.aggregate import Min
+
+from .aggregate import grouped_min
 
 
 CC_LOCAL_MAX_EDGES = 5_000_000  # one task's worth of edge arrays (~80 MB)
@@ -93,7 +96,7 @@ def connected_components(edges: rd.Dataset, src: str = "a", dst: str = "b",
                                 "y": t[src].cast(pa.int64())}),
             batch_format="pyarrow", batch_size=None)).materialize()
 
-    labels = both.groupby("x").aggregate(Min("y", alias_name="_min")) \
+    labels = grouped_min(both, ["x"], "y") \
         .map_batches(lambda t: pa.table({"node": t["x"], "label": t["x"]}),
                      batch_format="pyarrow", batch_size=None).materialize()
     if labels.count() == 0:
@@ -112,8 +115,8 @@ def connected_components(edges: rd.Dataset, src: str = "a", dst: str = "b",
         nbr = nbr.map_batches(
             lambda t: pa.table({"node": t["x"], "label": t["label"]}),
             batch_format="pyarrow", batch_size=None)
-        new = nbr.union(labels).groupby("node") \
-            .aggregate(Min("label", alias_name="label")).materialize()
+        new = grouped_min(nbr.union(labels), ["node"], "label",
+                          "label").materialize()
         # pointer jump: label <- label(label) (labels are node ids, so the
         # lookup is a self-join; every label exists as a node by induction;
         # materialized first so the self-join doesn't re-execute the plan)

@@ -664,9 +664,8 @@ def skew_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
     if hot_keys is None:
         hh = heavy_hitters(fact.select_columns([fact_key]), fact_key,
                            k=n_hot)
-        probe = fact.schema().base_schema.field(fact_key).type
-        hot_keys = pa.array(hh["key"], pa.string()).cast(probe) \
-            if len(hh) else pa.array([], probe)
+        # string keys; ``split`` casts them to each batch's key type
+        hot_keys = pa.array(hh["key"] if len(hh) else [], pa.string())
     if isinstance(hot_keys, pa.ChunkedArray):
         hot_keys = hot_keys.combine_chunks()
     href = ray.put(hot_keys)
@@ -676,7 +675,10 @@ def skew_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
             hot = ray.get(href)
             if len(hot) == 0:
                 return b if not want_hot else b.slice(0, 0)
-            m = pc.fill_null(pc.is_in(b[fact_key], value_set=hot), False)
+            keys = b[fact_key]
+            if hot.type != keys.type:
+                hot = hot.cast(keys.type)
+            m = pc.fill_null(pc.is_in(keys, value_set=hot), False)
             return b.filter(m if want_hot else pc.invert(m))
         return f
 

@@ -153,9 +153,11 @@ def test_hll_partial_merge_equals_single_pass():
 def test_connected_components_paths_agree(monkeypatch):
     """Graph CC: the one-task numpy path and the distributed join loop
     produce identical components on a graph with chains, triangles and
-    isolated pairs."""
+    isolated pairs; the loop's grouped min folds run on both final
+    paths."""
     import ray.data as rd
     from security_log_analysis_rust_ray.stages import graph
+    from .conftest import FINAL_PATHS, final_path
     edges = pd.DataFrame({
         "a": [1, 2, 3,  10, 11,  20,  30, 31, 32, 33],
         "b": [2, 3, 4,  11, 12,  21,  31, 32, 33, 30],
@@ -168,9 +170,11 @@ def test_connected_components_paths_agree(monkeypatch):
     assert dict(zip(fast["node"], fast["label"])) == expected
 
     monkeypatch.setattr(graph, "CC_LOCAL_MAX_EDGES", 0)
-    slow = graph.connected_components(rd.from_pandas(edges), "a", "b",
-                                      nparts=4).to_pandas()
-    assert dict(zip(slow["node"], slow["label"])) == expected
+    for path in FINAL_PATHS:
+        with final_path(path):
+            slow = graph.connected_components(rd.from_pandas(edges), "a",
+                                              "b", nparts=4).to_pandas()
+        assert dict(zip(slow["node"], slow["label"])) == expected, path
 
 
 @pytest.mark.usefixtures("ray_session")
