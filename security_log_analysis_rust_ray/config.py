@@ -50,8 +50,6 @@ class Config:
     shuffle_partitions: int | None = None  # pin hash-exchange partitions
     target_partition_bytes: int = 256 << 20  # data-sized partition target
     max_group_pairs: int = 4_000_000       # hot-bucket pair-expansion cap
-    bloom_bits: int = 1 << 27              # semi/anti pre-exchange Bloom
-    bloom_hashes: int = 6                  # (0 bits disables the filter)
 
     @classmethod
     def from_env(cls, env_file: str | None = None,
@@ -97,8 +95,7 @@ def _parse_env_file(path: str) -> dict[str, str]:
 
 
 _INT_FIELDS = {"alert_log_delay", "alert_buffer_size", "broadcast_max_bytes",
-               "target_partition_bytes", "max_group_pairs", "bloom_bits",
-               "bloom_hashes"}
+               "target_partition_bytes", "max_group_pairs"}
 _OPT_INT_FIELDS = {"shuffle_partitions"}
 _LIST_FIELDS = {"systemd_log_filters"}
 

@@ -883,11 +883,11 @@ def doc_tfidf_top_terms(sf_dir: str, k: int = 3) -> rd.Dataset:
     tf = docs_aug_ds(sf_dir).map_batches(
         _doc_tf_batch, batch_format="pyarrow", batch_size=None).materialize()
     # tf rows are distinct per (doc, term), so counting rows per term IS df
-    df = agg.grouped_count(tf, ["term"], alias="df").materialize()
+    df = agg.grouped_count(tf, ["term"], alias="df")
 
-    # df is unique per term and MATERIALIZED: the size-aware lookup_join
-    # broadcasts it while the vocab fits the byte budget (no term shuffle
-    # for the scoring attach) and hash-partitions both sides beyond it
+    # df is unique per term: lookup_join broadcasts it while the vocab fits
+    # the byte budget (no term shuffle for the scoring attach) and
+    # hash-partitions both sides beyond it
     from ..stages.joins import lookup_join
     scored = lookup_join(tf, df, "term", "term", nparts=nparts, how="inner")
     rep = _use_hash_shuffle(scored, nparts).repartition(
@@ -1522,12 +1522,10 @@ def _chunk_dup_pipeline(base: rd.Dataset, chunk_counts_fn, totals_fn,
         return out.rename_columns(["doc_id", "n_dup_chunks"]) \
                   .cast(part_schema)
 
-    # materialized: (a) the size gate in lookup_join sees the REAL bytes
-    # (at most one short row per doc-with-dups) instead of the corpus-
-    # sized root-file estimate, so the attach broadcasts; (b) the chunk
-    # pipeline is not re-executed as the join's dim lineage
+    # at most one short row per doc-with-dups: lookup_join sizes it and
+    # broadcasts the attach
     dup_cnt = agg.grouped_fold(parts, ["doc_id"], block_dup,
-                               [("n_dup_chunks", "sum")]).materialize()
+                               [("n_dup_chunks", "sum")])
 
     tot = base.map_batches(totals_fn, batch_format="pyarrow")
     joined = lookup_join(tot, dup_cnt, "doc_id", "doc_id",
@@ -2012,8 +2010,8 @@ def doc_dup_weights(sf_dir: str,
     from ..stages.joins import lookup_join
 
     clusters = dup_clusters(sf_dir, threshold=threshold)
-    # cluster-count-scale, not corpus-scale: materialized so the join's
-    # size gate sees exact bytes (broadcast in the common case)
+    # cluster-count-scale, not corpus-scale (broadcast in the common
+    # case); materialized once for the emptiness check and the join
     sizes = grouped_count(clusters, ["cluster"], alias="sz").materialize()
     base = docs_aug_ds(sf_dir).map_batches(
         lambda t: t.select(["doc_id"]), batch_format="pyarrow")
@@ -2203,9 +2201,10 @@ def doc_sampling_manifest(sf_dir: str) -> rd.Dataset:
     consumes: final_weight = soft-dedup weight (1/|near-dup cluster|) x
     the doc's source temperature weight — duplicates are downweighted AND
     over-represented sources are tempered, in one artifact.  Composition:
-    the tiny per-source mix table broadcasts (materialized -> exact size
-    gate); the corpus-scale dup-weight table joins via the partitioned
-    hash path; one rounding at the end mirrors the oracle bit-for-bit.
+    the tiny per-source mix table broadcasts; the corpus-scale dup-weight
+    table broadcasts while it fits the byte budget and takes the hash
+    exchange beyond it; one rounding at the end mirrors the oracle
+    bit-for-bit.
     Output (doc_id, source, sample_weight) over the base documents."""
     from ..stages.joins import lookup_join
 
@@ -2213,7 +2212,7 @@ def doc_sampling_manifest(sf_dir: str) -> rd.Dataset:
     mix = doc_temperature_mix(sf_dir).map_batches(
         lambda t: pa.table({"source": t["source"],
                             "mix_weight": t["weight"]}),
-        batch_format="pyarrow", batch_size=None).materialize()
+        batch_format="pyarrow", batch_size=None)
     dupw = doc_dup_weights(sf_dir).map_batches(
         lambda t: pa.table({"doc_id": t["doc_id"],
                             "dup_weight": t["weight"]}),
@@ -2267,7 +2266,8 @@ def doc_lm_score(sf_dir: str) -> rd.Dataset:
     nparts = _join_parts(sf_dir)
     tf = docs_aug_ds(sf_dir).map_batches(
         _doc_tf_batch, batch_format="pyarrow", batch_size=None).materialize()
-    # materialized: the lookup_join size gate sees the real vocab bytes.
+    # materialized: its exact bytes pick the scoring path below, and the
+    # totals, the scoring and the join read it without re-running the fold
     cnt = agg.grouped_sum(tf, ["term"], "tf", alias="c").materialize()
     # corpus totals fold over the VOCAB-sized cnt, not the token-scale tf
     total = int(cnt.sum("c"))
@@ -2286,14 +2286,9 @@ def doc_lm_score(sf_dir: str) -> rd.Dataset:
     # (profiled: 13.7 s -> ~8 s/100k).  Past the budget, the partitioned
     # lookup_join + partial/final fold below is the 100-TB path.
     from ..config import get_config
-    from ..stages.dedup import _estimate_bytes
-    est = _estimate_bytes(cnt)
-    if est is not None and est <= get_config().broadcast_max_bytes:
-        blocks = [t for t in ray.get(list(cnt.to_arrow_refs()))
-                  if t.num_rows > 0]
-        vocab_tbl = pa.concat_tables(blocks).combine_chunks() if blocks \
-            else pa.table({"term": pa.array([], pa.string()),
-                           "c": pa.array([], pa.int64())})
+    from ..stages.dedup import _collect_table
+    if cnt.size_bytes() <= get_config().broadcast_max_bytes:
+        vocab_tbl = _collect_table(cnt).combine_chunks()
         ref = ray.put((vocab_tbl["term"].combine_chunks(),
                        vocab_tbl["c"].combine_chunks()))
 
@@ -2417,7 +2412,7 @@ def doc_dsir_weights(sf_dir: str) -> rd.Dataset:
     avg_llr = Σ tf·(log2((c_t+1)/(T_t+V)) − log2((c_r+1)/(T_r+V))) / Σ tf,
     rounded to 6 (half-up); the oracle states the identical arithmetic."""
     from ..config import get_config
-    from ..stages.dedup import _estimate_bytes
+    from ..stages.dedup import _collect_table
     from ..stages.joins import lookup_join
 
     nparts = _join_parts(sf_dir)
@@ -2455,22 +2450,12 @@ def doc_dsir_weights(sf_dir: str) -> rd.Dataset:
             "avg_llr": pa.array(round_half_up(s / n)),
         }).cast(out_schema)
 
-    est_r, est_t = _estimate_bytes(cnt_r), _estimate_bytes(cnt_t)
-    budget = get_config().broadcast_max_bytes
-    if est_r is not None and est_t is not None \
-            and est_r + est_t <= budget:
+    if cnt_r.size_bytes() + cnt_t.size_bytes() \
+            <= get_config().broadcast_max_bytes:
         # fused path: tf blocks hold complete docs, every term matches
         # cnt_r, absent-in-target probes yield null -> 0
-        def collect(ds, c_name):
-            blocks = [t for t in ray.get(list(ds.to_arrow_refs()))
-                      if t.num_rows > 0]
-            # an all-empty dataset (e.g. no target-sample docs) has no
-            # blocks to concat — synthesize the empty (term, count) table
-            return pa.concat_tables(blocks).combine_chunks() if blocks \
-                else pa.table({"term": pa.array([], pa.string()),
-                               c_name: pa.array([], pa.int64())})
-
-        r_tbl, t_tbl = collect(cnt_r, "c_r"), collect(cnt_t, "c_t")
+        r_tbl = _collect_table(cnt_r).combine_chunks()
+        t_tbl = _collect_table(cnt_t).combine_chunks()
         ref = ray.put((r_tbl["term"].combine_chunks(),
                        r_tbl["c_r"].combine_chunks(),
                        t_tbl["term"].combine_chunks(),

@@ -50,7 +50,7 @@ def lineitem_pricing_summary(sf_dir: str) -> rd.Dataset:
 def orders_by_nation(sf_dir: str) -> rd.Dataset:
     """orders |x| customer |x| nation via the SIZE-AWARE lookup join
     (stages/joins.py, VERDICT r01 #6): customer is a fact-scale table, so
-    it broadcasts only while its estimated bytes stay under the threshold
+    it broadcasts only while its exact bytes stay under the threshold
     and flips to a partitioned hash-shuffle join beyond it; nation (25
     rows) always broadcasts."""
     from ..stages.dedup import _num_partitions
@@ -84,7 +84,7 @@ def top_parts_by_revenue(sf_dir: str, k: int = 5) -> rd.Dataset:
     FACT-SCALE (200k rows/sf — GBs at 100x), so the join goes through the
     size-aware lookup_join (VERDICT r02 #3: the old driver-built Python
     dict broadcast it unconditionally): Arrow index_in/take probe while
-    part's estimated bytes fit the Config threshold, partitioned hash join
+    part's exact bytes fit the Config threshold, partitioned hash join
     beyond it."""
     from ..stages.dedup import _num_partitions
     from ..stages.joins import lookup_join
@@ -196,16 +196,13 @@ def local_supplier_volume(sf_dir: str) -> rd.Dataset:
     region = read_table(sf_dir, "region", columns=["r_regionkey", "r_name"]) \
         .map_batches(lambda b: b.filter(
             pc.equal(b["r_name"], Q5_REGION)).select(["r_regionkey"]),
-            batch_format="pyarrow", batch_size=None).materialize()
-    # materialized: a derived dim reports no input files, so the size gate
-    # could not see how tiny this is (<=25 rows by construction) and would
-    # send the whole lineitem stream through a needless nation-key shuffle
+            batch_format="pyarrow", batch_size=None)
     nation = lookup_join(
         read_table(sf_dir, "nation",
                    columns=["n_nationkey", "n_name", "n_regionkey"]),
         region, "n_regionkey", "r_regionkey", how="inner") \
         .map_batches(lambda b: b.select(["n_nationkey", "n_name"]),
-                     batch_format="pyarrow", batch_size=None).materialize()
+                     batch_format="pyarrow", batch_size=None)
 
     orders = read_table(sf_dir, "orders",
                         columns=["o_orderkey", "o_custkey", "o_orderdate"]) \

@@ -715,10 +715,10 @@ def conversation_curated_corpus(sf_dir: str, min_convs: int = 3) -> rd.Dataset:
     keeping the min conv_id per distinct text.
 
     Scale shape: the boilerplate text set is the classic BROADCAST side
-    (benchmark-boilerplate is MBs while the corpus is TBs) — it is
-    materialized so ``lookup_join``'s size gate sees exact bytes and ships
-    it once via ray.put (falling back to the partitioned hash probe only
-    past the byte budget).  Everything per-conversation (assembly, turn
+    (benchmark-boilerplate is MBs while the corpus is TBs) — ``lookup_join``
+    ships it once via ray.put (falling back to the partitioned hash probe
+    only past the byte budget); it is materialized once for the emptiness
+    check and the join.  Everything per-conversation (assembly, turn
     count, boilerplate count, the keep rule) happens in ONE vectorized
     kernel after the single conv_id hash exchange, and the exact dedup is
     the combiner-first grouped min.  Two wide exchanges total; nothing

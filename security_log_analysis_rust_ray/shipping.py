@@ -9,17 +9,21 @@ cwd ships tasks that NO worker can deserialize: every map task dies with
 ``ModuleNotFoundError`` and the actor pool retries forever (this is exactly
 what emptied the round-3 driver correctness artifact).
 
-``ensure_worker_importable()`` probes one trivial remote task; if the worker
-cannot import the package it registers every package module with
+``ensure_worker_importable()`` probes one trivial remote task that reports
+where the worker imports the package from.  If the worker cannot import it,
+every package module is registered with
 ``ray.cloudpickle.register_pickle_by_value`` so functions and actor classes
-are shipped self-contained (no import needed on the worker).  The probe runs
-once per process; the fast path (repo-cwd drivers) keeps cheap by-reference
-pickling.
+are shipped self-contained (no import needed on the worker).  If the worker
+imports a DIFFERENT copy (a package of the same name in the driver's cwd),
+by-reference pickling would run that copy's code, so the probe raises and
+names both paths.  The probe runs once per process; the fast path (repo-cwd
+drivers) keeps cheap by-reference pickling.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
 
 _CHECKED = False
@@ -42,7 +46,8 @@ def _register_all_by_value() -> int:
 
 
 def ensure_worker_importable() -> bool:
-    """Probe worker import of this package; fall back to by-value pickling.
+    """Probe where workers import this package from; fall back to by-value
+    pickling when they cannot, raise when they import another copy.
 
     If Ray is NOT initialised yet (an out-of-contract driver relying on
     Ray Data's implicit ``ray.init`` at first execution), the probe cannot
@@ -61,19 +66,31 @@ def ensure_worker_importable() -> bool:
         _CHECKED = True
         return True
 
+    import security_log_analysis_rust_ray as pkg
+
+    # self-contained (no package globals): a by-reference global would make
+    # the worker import the package just to unpickle the probe
     @ray.remote(num_cpus=0)
-    def _probe() -> bool:
+    def _probe() -> str | None:
+        import os
         try:
-            import security_log_analysis_rust_ray  # noqa: F401
-            return True
+            import security_log_analysis_rust_ray as worker_pkg
+            return os.path.realpath(os.path.dirname(worker_pkg.__file__))
         except Exception:
-            return False
+            return None
 
     try:
-        ok = ray.get(_probe.remote(), timeout=60)
+        worker_dir = ray.get(_probe.remote(), timeout=60)
     except Exception:
-        ok = False
-    if not ok:
+        worker_dir = None
+    driver_dir = os.path.realpath(os.path.dirname(pkg.__file__))
+    if worker_dir is None:
         _register_all_by_value()
+    elif worker_dir != driver_dir:
+        raise RuntimeError(
+            f"Ray workers import security_log_analysis_rust_ray from "
+            f"{worker_dir}, but this driver runs the copy at {driver_dir}; "
+            f"the workers would run the other copy's code.  Start the "
+            f"driver from a directory that holds no copy of the package.")
     _CHECKED = True
     return True

@@ -1,14 +1,14 @@
 """Distributed Bloom filter: pre-exchange pruning for large-key-set
 semi/anti joins.
 
-Why: past the broadcast byte budget, ``semi_join``/``anti_join`` fall back
-to ``_shuffled_membership`` — an all-to-all exchange of the ENTIRE fact
-stream.  At the 100-TB design point that exchange dominates the join even
-when only a sliver of fact rows actually match (semi) or miss (anti).  A
-Bloom filter over the key set costs ~1-2 bytes/key to broadcast (vs tens
-of bytes for the exact keys) and has NO false negatives, so:
+Why: past the broadcast byte budget, a join's build side goes through
+``joins._exchange`` — an all-to-all exchange of the ENTIRE probe stream.
+At the 100-TB design point that exchange dominates the join even when only
+a sliver of probe rows actually match (inner, semi) or miss (anti).  A
+Bloom filter over the build keys costs ~1-2 bytes/key to broadcast (vs
+tens of bytes for the exact keys) and has NO false negatives, so:
 
-- ``semi_join``: rows whose key misses the filter are DEFINITELY
+- inner and semi joins: rows whose key misses the filter are DEFINITELY
   non-members — drop them before the exchange; only members + false
   positives shuffle.  The exact probe after the exchange removes the FPs,
   so results are bit-identical to the unfiltered plan.
@@ -24,13 +24,13 @@ Double hashing (Kirsch–Mitzenmacher) gives the k probe positions from two
 vectorized ``hash64`` passes; both build and probe are pure numpy over
 whole Arrow columns (no per-row Python).
 
-Sizing: ``Config.bloom_bits`` (default 2^27 = 16 MB bitmap) holds ~13
-bits/key at 10M distinct keys (FPR ~0.2% with k=6) and stays useful to
-~50M keys (FPR ~5%); beyond that the filter degrades gracefully — FPR
-rises toward 1 and the plan converges to the unfiltered exchange, never
-to a wrong answer.  Callers with a key-count estimate can size m
-explicitly.  The filter is intra-run only (``hash64``'s polars fast path
-is process-stable, not persistence-stable), which is all a join needs.
+Sizing: ``BLOOM_BITS`` (2^27 = a 16 MB bitmap) holds ~13 bits/key at 10M
+distinct keys (FPR ~0.2% with k=6) and stays useful to ~50M keys (FPR
+~5%); beyond that the filter degrades gracefully — FPR rises toward 1 and
+the plan converges to the unfiltered exchange, never to a wrong answer.
+``BLOOM_BITS = 0`` turns the prefilter off.  The filter is intra-run only
+(``hash64``'s polars fast path is process-stable, not persistence-stable),
+which is all a join needs.
 
 Reference anchor: the reference's only membership probes are driver-local
 HashMaps (src/parse_logs.rs:333-358); this is the scale-path analog.
@@ -44,6 +44,9 @@ import ray
 import ray.data as rd
 
 from ..functions.hashing import hash64, mix64
+
+BLOOM_BITS = 1 << 27   # prefilter bitmap size in bits (0: no prefilter)
+BLOOM_HASHES = 6       # probe positions per key
 
 _SEED1 = 0x51ED270B
 _SEED2 = 0xD24F7F2E
@@ -69,7 +72,7 @@ def _key_hashes(cols: list, seed: int) -> np.ndarray:
 def _norm_bits(m_bits: int) -> int:
     """Round the bitmap size UP to a whole number of 64-bit words (floor
     one word): positions are taken mod m_bits while the word array is
-    m_bits >> 6 long, so a non-aligned ``Config.bloom_bits`` would index
+    m_bits >> 6 long, so a non-aligned bitmap size would index
     past the array.  Applied identically in every public entry point so
     build and probe always agree on the effective size."""
     return max(64, (m_bits + 63) & ~63)

@@ -119,8 +119,8 @@ def _estimate_bytes(ds: rd.Dataset) -> int | None:
     (``size_bytes`` is metadata there); a lazy one is sized from its INPUT
     FILE sizes (``ds.size_bytes()`` would run the plan).  Derived lazy
     datasets (map_batches output) report no input files -> ``None``
-    (unknown), so a caller that wants a small derived dim broadcast should
-    ``materialize()`` it first."""
+    (unknown).  Only the exchange's partition count reads it; the
+    driver-vs-exchange choices size materialized data exactly."""
     import os
     if isinstance(ds, rd.dataset.MaterializedDataset):
         try:

@@ -1,208 +1,243 @@
-"""Size-aware fact-dim join: broadcast the dim side when it is genuinely
-small, hash-shuffle join when it is not.
+"""Equi-joins with one size rule and one exchange.
 
-Round-1 broadcast every lookup side unconditionally — including a
-customer-sized table (VERDICT r01 #6: customer is fact-scale, GBs at 100x,
-not a 25-row dim).  This helper makes the decision explicit and data-driven:
-the dim's estimated bytes against a byte threshold from the unified Config
-(default 64 MB — a table every task can comfortably hold).  Small side:
-shipped once with ray.put, probed per batch with an Arrow ``index_in`` +
-``take`` (zero pandas round-trips, and both paths emit the SAME Arrow
-schema — the old pandas merge coerced unmatched int dims to float64 NaN).
-Large side: a partitioned hash join expressed as a tagged-union probe
-(``_hash_lookup_join``) — both sides shuffle on the key, nothing lands on
-the driver, and (unlike Ray 2.49's JoinOperator) empty hash partitions
-cannot crash schema resolution.  The reference's J1/J2 broadcast-lookup
-shape is /root/reference/src/polars_analysis.rs:96-107.
+``lookup_join`` (unique-key dim attach), ``hash_join`` (m:n: inner, left or
+full), ``semi_join`` and ``anti_join`` follow the rule of
+``dedup.keyed_fold``: the build side (the dim, the right side, or the
+distinct key set) is materialized, and its exact ``size_bytes()`` decides
+the plan.  Within ``Config.broadcast_max_bytes`` (64 MB) it is collected,
+shipped once with ``ray.put`` and probed per batch (``_broadcast``);
+beyond it both sides go through one hash exchange on the key
+(``_exchange``).  Callers do not pick the path, and a derived lazy dim is
+sized as exactly as a file scan.
 
-``semi_join`` / ``anti_join`` take their distinct key set from
-``dedup.distinct_rows`` and gate the broadcast on its MATERIALIZED byte size
-against the same ``Config.broadcast_max_bytes`` (VERDICT r02 #5: the old
-5M-KEY threshold could put hundreds of MB of wide string keys on the
-driver), so one budget decides both the keyed fold's driver-vs-exchange
-finish and the probe's broadcast-vs-shuffle.  They ship the probe as an
-Arrow array (never a sorted Python list — null keys made ``sorted()``
-raise), and drop nulls from the probe set: a null key never matches a
-semi/anti probe, in SQL or in Ray's hash join.
+Each join is one per-partition kernel that both routines run:
+``index_in`` + ``take`` for a lookup, an Acero ``pa.Table.join`` for m:n,
+``is_in`` for membership.  Both routines drop null build keys (SQL: NULL
+never equals NULL in a join) and give the build keys the probe's key
+types.  The exchange is a tagged union, not ``Dataset.join``: Ray 2.49's
+JoinOperator fails schema resolution ("No match ... for FieldRef") whenever
+a hash partition is empty on one side (join.py:104-126 builds each side
+with a bare ArrowBlockBuilder); here such a partition runs the kernel
+against an empty, schema-complete table.  Before the exchange a Bloom
+filter over the build keys (``stages/bloom.py``) prunes the probe side of
+inner and semi joins and passes the rows an anti join keeps for certain
+around the exchange.
+
+The reference's join shapes are a broadcast lookup and a membership probe
+(src/polars_analysis.rs:96-107).
 """
 
 from __future__ import annotations
 
-import pandas as pd  # noqa: F401  (kept: callers type against pandas)
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
 from ..config import get_config
-from .dedup import _arrow_schema, _collect_table, _estimate_bytes
+from .dedup import _arrow_schema, _collect_table, _use_hash_shuffle
+
+_MARKER = "__slar_probe__"
+_BUILD_PREFIX = "__slar_dim__"
 
 
-def lookup_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
-                dim_key: str, nparts: int = 8, how: str = "inner",
-                broadcast_max_bytes: int | None = None,
-                rename: dict[str, str] | None = None) -> rd.Dataset:
-    """Attach ``dim``'s non-key columns to ``fact`` rows on
-    ``fact_key == dim_key``.  ``how`` in {"inner", "left"}.  The output
-    drops the dim key column (like Ray's join does), keeping the fact key.
-    Assumes ``dim_key`` is unique in ``dim`` (it is a dim lookup); with
-    duplicate dim keys use the hash path (``broadcast_max_bytes=0``).
-    ``rename`` maps dim payload column names to output names INSIDE the
-    join (a caller-side map_batches rename would turn a MATERIALIZED dim
-    lazy again and blind the broadcast size gate).
-    """
-    limit = get_config().broadcast_max_bytes if broadcast_max_bytes is None \
-        else broadcast_max_bytes
-    rename = rename or {}
-    est = _estimate_bytes(dim)
-    if est is not None and est <= limit:
-        dim_tbl = _collect_table(dim).combine_chunks()
-        # drop null dim keys BEFORE building the probe set: pc.index_in
-        # matches null to null, which would let a null dim row capture
-        # null fact keys — the hash path (tag_dim) filters them, and SQL
-        # join semantics never match nulls, so both paths must agree
-        dim_tbl = dim_tbl.filter(pc.is_valid(dim_tbl[dim_key]))
-        keys = dim_tbl[dim_key].combine_chunks()
-        payload = dim_tbl.drop_columns([dim_key])
-        if rename:
-            payload = payload.rename_columns(
-                [rename.get(c, c) for c in payload.column_names])
-        ref = ray.put((keys, payload))
-        inner = how == "inner"
-
-        # plain TASK pool, deliberately not an actor pool: ray.get of a
-        # plasma-resident Arrow table is a zero-copy mmap after the first
-        # fetch per node, while an actor pool's min-1 CPU reservation makes
-        # join chains non-composable — three broadcast probes plus one hash
-        # exchange reserve a whole 4-CPU session and the 1-CPU shuffle
-        # tasks starve forever (observed: TPC-H Q5 deadlock at 4 CPUs)
-        def attach(b: pa.Table) -> pa.Table:
-            keys, payload = ray.get(ref)
-            probe = b[fact_key].combine_chunks() \
-                if isinstance(b[fact_key], pa.ChunkedArray) else b[fact_key]
-            if keys.type != probe.type:
-                keys = keys.cast(probe.type)
-            idx = pc.index_in(probe, value_set=keys)
-            if inner:
-                valid = pc.is_valid(idx)
-                b = b.filter(valid)
-                idx = idx.filter(valid)
-            # take with null indices yields null payload rows (left join)
-            taken = payload.take(idx)
-            for name in taken.column_names:
-                b = b.append_column(name, taken[name])
-            return b
-
-        return fact.map_batches(attach, batch_format="pyarrow")
-    return _hash_lookup_join(fact, dim, fact_key, dim_key, nparts, how,
-                             rename)
+def _sized(build: rd.Dataset) -> tuple[rd.Dataset, pa.Table | None]:
+    """Materialize a join's build side; also collect it to one table when
+    its exact bytes fit ``Config.broadcast_max_bytes`` (else ``None``)."""
+    build = build.materialize()
+    if build.size_bytes() <= get_config().broadcast_max_bytes:
+        return build, _collect_table(build)
+    return build, None
 
 
-_DIM_PREFIX = "__slar_dim__"
+def _prepared(t: pa.Table, names: dict[str, str],
+              keys: list[str]) -> pa.Table:
+    """Build rows under their output names, null-key rows dropped."""
+    t = t.rename_columns([names.get(c, c) for c in t.column_names])
+    for k in keys:
+        t = t.filter(pc.is_valid(t[k]))
+    return t
 
 
-def _hash_lookup_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
-                      dim_key: str, nparts: int, how: str,
-                      rename: dict[str, str] | None = None) -> rd.Dataset:
-    """Partitioned hash path of ``lookup_join``: tag both sides, rename the
-    dim key to the fact key and prefix its payload columns, hash-repartition
-    the UNION on the key, then one vectorized ``index_in``/``take`` probe
-    per block (same mechanism as ``_shuffled_membership``).
+def _cast_keys(t: pa.Table, schema: pa.Schema, keys: list[str]) -> pa.Table:
+    for k in keys:
+        typ = schema.field(k).type
+        if t.schema.field(k).type != typ:
+            t = t.set_column(t.schema.get_field_index(k), k, t[k].cast(typ))
+    return t
 
-    Deliberately NOT ``Dataset.join``: Ray 2.49's JoinOperator fails Arrow
-    schema resolution whenever ANY hash partition is empty on one side
-    ("No match ... for FieldRef" — join.py:104-126 builds each side with a
-    bare ArrowBlockBuilder), which a small or skewed dim hits immediately.
-    Here an all-fact partition just probes an empty dim (left -> nulls,
-    inner -> dropped).  Every output block is normalized to ONE schema
-    (fact schema + null-able dim payload), so empty partitions cannot leak
-    schema drift downstream.  Null dim keys are dropped from the probe side
-    (SQL: NULL never equals NULL in a join)."""
-    import numpy as np
-    from .dedup import _use_hash_shuffle
 
-    rename = rename or {}
-    fact_schema = fact.schema().base_schema
-    dim_schema = dim.schema().base_schema
-    payload_fields = [pa.field(rename.get(f.name, f.name), f.type)
-                      for f in dim_schema if f.name != dim_key]
-    out_schema = pa.schema(
-        list(fact_schema)
-        + [pa.field(f.name, f.type) for f in payload_fields])
-    inner = how == "inner"
+def _broadcast(probe: rd.Dataset, tbl: pa.Table, names: dict[str, str],
+               keys: list[str], kernel) -> rd.Dataset:
+    """Ship the build table once with ``ray.put``; run ``kernel`` on every
+    probe batch against it, its keys cast to the batch's key types.
 
-    def tag_fact(t: pa.Table) -> pa.Table:
+    A plain TASK pool, deliberately not an actor pool: ``ray.get`` of a
+    plasma-resident Arrow table is a zero-copy mmap after the first fetch
+    per node, while an actor pool's min-1 CPU reservation makes join chains
+    non-composable (three broadcast probes plus one hash exchange reserved
+    a whole 4-CPU session and starved the shuffle tasks: a TPC-H Q5
+    deadlock)."""
+    ref = ray.put(_prepared(tbl, names, keys).combine_chunks())
+
+    def run(b: pa.Table) -> pa.Table:
+        return kernel(b, _cast_keys(ray.get(ref), b.schema, keys))
+
+    return probe.map_batches(run, batch_format="pyarrow", batch_size=None)
+
+
+def _exchange(probe: rd.Dataset, build: rd.Dataset, names: dict[str, str],
+              keys: list[str], nparts: int, kernel,
+              bloom_mode: str | None = None) -> rd.Dataset:
+    """Tag both sides, hash-repartition their union on ``keys`` into
+    ``nparts`` blocks and run ``kernel(probe_rows, build_rows)`` per block,
+    each side as a table of its full schema (empty when the partition got
+    none of its rows).  ``build`` is materialized.
+
+    ``bloom_mode="prune"`` drops the Bloom-negative probe rows before the
+    exchange (inner and semi joins: they match nothing); ``"split"`` sends
+    only the Bloom-positive rows through it and unions the negative ones,
+    which an anti join keeps for certain, around it.  The exact kernel
+    removes the false positives, so the result does not depend on the
+    filter; ``bloom.BLOOM_BITS = 0`` turns it off."""
+    # imported here: bloom pulls in polars (~90 ms), which the broadcast
+    # path and the workers that run its probes never need
+    from . import bloom
+
+    if probe.schema() is None:      # an empty probe side matches nothing
+        return probe
+    p_schema = _arrow_schema(probe)
+    b_schema = pa.schema([
+        pa.field(n, p_schema.field(n).type if n in keys else f.type)
+        for f in _arrow_schema(build) for n in [names.get(f.name, f.name)]])
+
+    def build_rows(t: pa.Table) -> pa.Table:
+        return _cast_keys(_prepared(t, names, keys), p_schema, keys)
+
+    definite = None
+    m, k = bloom.BLOOM_BITS, bloom.BLOOM_HASHES
+    if bloom_mode and m and k:
+        ref = ray.put(bloom.build_bloom(
+            build.map_batches(lambda t: build_rows(t).select(keys),
+                              batch_format="pyarrow", batch_size=None),
+            keys, m, k))
+
+        def bloom_side(positive: bool):
+            def f(b: pa.Table) -> pa.Table:
+                hit = bloom.bloom_contains(ray.get(ref), b, m, k, cols=keys)
+                return b.filter(pa.array(hit if positive else ~hit))
+            return f
+
+        if bloom_mode == "split":
+            definite = probe.map_batches(bloom_side(False),
+                                         batch_format="pyarrow",
+                                         batch_size=None)
+        probe = probe.map_batches(bloom_side(True), batch_format="pyarrow",
+                                  batch_size=None)
+
+    def tag_probe(t: pa.Table) -> pa.Table:
         assert _MARKER not in t.schema.names, _MARKER
         return t.append_column(
             _MARKER, pa.array(np.zeros(t.num_rows, dtype=np.int8)))
 
-    def tag_dim(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[dim_key]))
-        names = [fact_key if c == dim_key
-                 else _DIM_PREFIX + rename.get(c, c)
-                 for c in t.column_names]
-        return t.rename_columns(names).append_column(
+    def tag_build(t: pa.Table) -> pa.Table:
+        t = build_rows(t)
+        t = t.rename_columns([c if c in keys else _BUILD_PREFIX + c
+                              for c in t.column_names])
+        return t.append_column(
             _MARKER, pa.array(np.ones(t.num_rows, dtype=np.int8)))
 
-    uni = fact.map_batches(tag_fact, batch_format="pyarrow",
-                           batch_size=None) \
-        .union(dim.map_batches(tag_dim, batch_format="pyarrow",
-                               batch_size=None))
+    uni = probe.map_batches(tag_probe, batch_format="pyarrow",
+                            batch_size=None) \
+        .union(build.map_batches(tag_build, batch_format="pyarrow",
+                                 batch_size=None))
     parts = _use_hash_shuffle(uni, nparts).repartition(
-        num_blocks=nparts, keys=[fact_key])
+        num_blocks=nparts, keys=keys)
 
-    def probe(t: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pylist([], schema=out_schema)
-        if t.num_columns == 0 or t.num_rows == 0 \
-                or _MARKER not in t.schema.names:
+    def side(rows: pa.Table, schema: pa.Schema, prefix: str) -> pa.Table:
+        if rows.num_rows == 0:
+            return schema.empty_table()
+        return pa.Table.from_arrays(
+            [rows[f.name if f.name in keys else prefix + f.name].cast(f.type)
+             for f in schema], schema=schema)
+
+    empty = kernel(p_schema.empty_table(), b_schema.empty_table())
+
+    def run(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0 or _MARKER not in t.schema.names:
             return empty
-        is_dim = pc.fill_null(pc.equal(t[_MARKER], 1), False)
-        fact_rows = t.filter(pc.invert(is_dim))
-        if fact_rows.num_rows == 0:
-            return empty
-        dim_rows = t.filter(is_dim)
-        keys = dim_rows[fact_key].combine_chunks() \
-            if dim_rows.num_rows else None
-        probe_col = fact_rows[fact_key]
-        if keys is not None and len(keys):
-            idx = pc.index_in(probe_col, value_set=keys)
-        else:
-            idx = pa.nulls(fact_rows.num_rows, pa.int32())
+        is_build = pc.fill_null(pc.equal(t[_MARKER], 1), False)
+        return kernel(side(t.filter(pc.invert(is_build)), p_schema, ""),
+                      side(t.filter(is_build), b_schema, _BUILD_PREFIX))
+
+    # Ray runs no UDF on an empty block: the empty table keeps the output
+    # schema when every partition is empty
+    out = parts.map_batches(run, batch_format="pyarrow", batch_size=None) \
+        .union(rd.from_arrow(empty))
+    return out if definite is None else out.union(definite)
+
+
+def _lookup_kernel(key: str, inner: bool):
+    def attach(p: pa.Table, b: pa.Table) -> pa.Table:
+        idx = pc.index_in(p[key], value_set=b[key])
         if inner:
             valid = pc.is_valid(idx)
-            fact_rows = fact_rows.filter(valid)
-            idx = idx.filter(valid)
-        cols = [fact_rows[f.name].combine_chunks()
-                if isinstance(fact_rows[f.name], pa.ChunkedArray)
-                else fact_rows[f.name]
-                for f in fact_schema]
-        for f in payload_fields:
-            pref = _DIM_PREFIX + f.name
-            if pref in t.schema.names and dim_rows.num_rows:
-                cols.append(dim_rows[pref].combine_chunks().take(idx))
-            else:
-                cols.append(pa.nulls(fact_rows.num_rows, f.type))
-        return pa.Table.from_arrays(cols, schema=out_schema)
+            p, idx = p.filter(valid), idx.filter(valid)
+        # take with null indices yields null payload rows (left join)
+        taken = b.drop_columns([key]).take(idx)
+        for name in taken.column_names:
+            p = p.append_column(name, taken[name])
+        return p
+    return attach
 
-    return parts.map_batches(probe, batch_format="pyarrow", batch_size=None)
+
+def _mn_kernel(keys: list[str], join_type: str):
+    def join(p: pa.Table, b: pa.Table) -> pa.Table:
+        payload = [c for c in b.column_names if c not in keys]
+        overlap = set(payload) & set(p.column_names)
+        if overlap:
+            raise ValueError(f"column collision {overlap}: pass rename=")
+        out = p.join(b, keys=keys, join_type=join_type)
+        return out.select(p.column_names + payload)
+    return join
+
+
+def _member_kernel(key: str, keep: bool):
+    def probe(p: pa.Table, b: pa.Table) -> pa.Table:
+        hit = pc.fill_null(pc.is_in(p[key], value_set=b[key]), False)
+        return p.filter(hit if keep else pc.invert(hit))
+    return probe
+
+
+def lookup_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
+                dim_key: str, nparts: int = 8, how: str = "inner",
+                rename: dict[str, str] | None = None) -> rd.Dataset:
+    """Attach ``dim``'s non-key columns to ``fact`` rows on
+    ``fact_key == dim_key``.  ``how`` in {"inner", "left"}.  The output
+    drops the dim key column (like Ray's join does), keeping the fact key,
+    and emits the same Arrow schema on both paths (unmatched int payload
+    stays a null-able int, not a float NaN).  Assumes ``dim_key`` is
+    unique in ``dim`` (it is a dim lookup); with duplicate dim keys use
+    ``hash_join``.  ``rename`` maps dim payload column names to output
+    names."""
+    assert how in ("inner", "left"), how
+    names = {**(rename or {}), dim_key: fact_key}
+    dim, tbl = _sized(dim)
+    kernel = _lookup_kernel(fact_key, how == "inner")
+    if tbl is not None:
+        return _broadcast(fact, tbl, names, [fact_key], kernel)
+    return _exchange(fact, dim, names, [fact_key], nparts, kernel,
+                     "prune" if how == "inner" else None)
 
 
 def hash_join(left: rd.Dataset, right: rd.Dataset, on, right_on=None,
               nparts: int = 8, how: str = "inner",
-              rename: dict[str, str] | None = None,
-              broadcast_max_bytes: int | None = None) -> rd.Dataset:
+              rename: dict[str, str] | None = None) -> rd.Dataset:
     """General m:n equi-join (duplicate keys allowed on BOTH sides, unlike
-    ``lookup_join``'s dim-unique contract), size-aware like the other joins:
-
-    - right side under the Config byte budget: collected once, shipped with
-      ``ray.put``, and every left batch runs a LOCAL ``pa.Table.join``
-      (Acero) against it — no shuffle at all.
-    - otherwise: tag both sides, hash-repartition the UNION on the key
-      (one all-to-all exchange), then a LOCAL ``pa.Table.join`` per
-      partition.  Deliberately NOT ``Dataset.join`` — Ray 2.49's
-      JoinOperator crashes schema resolution when any hash partition is
-      empty on one side; here an all-left partition just joins an empty
-      (schema-complete) right table.
+    ``lookup_join``'s dim-unique contract): every partition, or every left
+    batch against the broadcast right side, runs a local Acero
+    ``pa.Table.join``.
 
     ``on`` / ``right_on`` are column-name tuples (composite keys fine).
     Output = left columns + right's non-key columns (``rename`` maps right
@@ -210,357 +245,97 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on, right_on=None,
     {"inner", "left", "full"}.  Null keys never match (SQL semantics);
     with ``how="left"`` null-key left rows survive with null payload.
 
-    ``how="full"`` always takes the hash path (a per-left-batch broadcast
-    probe cannot know which right rows stayed GLOBALLY unmatched): right
-    rows land in exactly one key partition, so per-partition FULL OUTER
-    (Acero, coalesce_keys) IS the global full outer; null-key right rows
-    can match nothing, so they bypass the exchange entirely and are
-    stamped straight to output shape (their valid key components survive
-    in the coalesced key columns, per SQL)."""
-    import numpy as np
-    from .dedup import _use_hash_shuffle
-
-    on = tuple(on)
-    right_on = tuple(right_on) if right_on is not None else on
+    ``how="full"`` always takes the exchange (a per-left-batch probe cannot
+    know which right rows stayed GLOBALLY unmatched): right rows land in
+    exactly one key partition, so per-partition FULL OUTER (Acero,
+    coalesce_keys) IS the global full outer; null-key right rows can match
+    nothing, so they bypass the exchange and are stamped straight to
+    output shape (their valid key components survive in the coalesced key
+    columns, per SQL)."""
+    on = list(on)
+    right_on = list(right_on) if right_on is not None else on
     assert how in ("inner", "left", "full"), how
     assert len(on) == len(right_on)
-    rename = rename or {}
-    join_type = {"inner": "inner", "left": "left outer",
-                 "full": "full outer"}[how]
-    limit = get_config().broadcast_max_bytes if broadcast_max_bytes is None \
-        else broadcast_max_bytes
+    names = {**(rename or {}), **dict(zip(right_on, on))}
+    kernel = _mn_kernel(on, {"inner": "inner", "left": "left outer",
+                             "full": "full outer"}[how])
 
+    right = right.materialize()
     # a 0-row dataset can lose its schema entirely (Ray reports
-    # schema=Unknown after e.g. repartition of an empty input); the join
-    # degenerates: empty left -> empty result; empty right -> inner is
-    # empty, left passes rows through (no payload columns CAN exist since
-    # their types are unknowable).  Returning the left stream keeps this
-    # total rather than crashing schema resolution.
-    if left.schema() is None:
-        if how == "full":
-            raise ValueError(
-                "full outer join with a schema-less empty left side: the "
-                "output's left columns are unknowable; guard the call site")
-        return left
+    # schema=Unknown after e.g. a repartition of an empty input): inner is
+    # empty; left and full pass the left rows through (no payload column
+    # CAN exist, its type is unknowable)
     if right.schema() is None:
-        return left if how in ("left", "full") else left.limit(0)
+        return left.limit(0) if how == "inner" else left
+    if how != "full":
+        right, tbl = _sized(right)
+        if tbl is not None:
+            return _broadcast(left, tbl, names, on, kernel)
+        return _exchange(left, right, names, on, nparts, kernel,
+                         "prune" if how == "inner" else None)
+
+    if left.schema() is None:
+        raise ValueError(
+            "full outer join with a schema-less empty left side: the "
+            "output's left columns are unknowable; guard the call site")
     left_schema = _arrow_schema(left)
-    right_schema = _arrow_schema(right)
-    key_types = {k: left_schema.field(k).type for k in on}
-    payload_fields = [pa.field(rename.get(f.name, f.name), f.type)
-                      for f in right_schema if f.name not in right_on]
-    overlap = {f.name for f in payload_fields} & set(left_schema.names)
-    assert not overlap, f"column collision {overlap}: pass rename="
-    out_schema = pa.schema(list(left_schema) + payload_fields)
+    out_schema = pa.schema(list(left_schema) + [
+        pa.field(names.get(f.name, f.name), f.type)
+        for f in _arrow_schema(right) if f.name not in right_on])
 
-    def _right_names(cols) -> list[str]:
-        # right keys take the LEFT key names; payload gets its output name
-        return [on[right_on.index(c)] if c in right_on else rename.get(c, c)
-                for c in cols]
+    def right_nulls(t: pa.Table) -> pa.Table:
+        t = t.rename_columns([names.get(c, c) for c in t.column_names])
+        mask = pc.is_null(t[on[0]])
+        for k in on[1:]:
+            mask = pc.or_(mask, pc.is_null(t[k]))
+        t = t.filter(mask)
+        return pa.Table.from_arrays(
+            [t[f.name].cast(f.type) if f.name in t.column_names
+             else pa.nulls(t.num_rows, f.type) for f in out_schema],
+            schema=out_schema)
 
-    def _cast_keys(t: pa.Table) -> pa.Table:
-        # pre-cast right keys to the left key types so neither the union's
-        # schema promotion nor Acero's key matching sees mixed types
-        for k in on:
-            f = t.schema.field(k)
-            if f.type != key_types[k]:
-                t = t.set_column(t.schema.get_field_index(k), k,
-                                 t[k].cast(key_types[k]))
-        return t
-
-    def _local_join(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        out = lt.join(rt, keys=list(on), join_type=join_type)
-        return out.select(out_schema.names).cast(out_schema)
-
-    est = _estimate_bytes(right)
-    if how != "full" and est is not None and est <= limit:
-        rt = _collect_table(right).combine_chunks()
-        rt = _cast_keys(rt.rename_columns(_right_names(rt.column_names)))
-        ref = ray.put(rt)
-
-        def attach(b: pa.Table) -> pa.Table:   # task pool (see lookup_join)
-            return _local_join(b, ray.get(ref))
-
-        return left.map_batches(attach, batch_format="pyarrow")
-
-    rnull_out = None
-    if how == "full":
-        # null-key right rows match nothing; stamp them straight to output
-        # shape (valid composite-key components survive, SQL-style) and
-        # union them around the exchange
-        def right_nulls(t: pa.Table) -> pa.Table:
-            t = _cast_keys(t.rename_columns(_right_names(t.column_names)))
-            mask = None
-            for k in on:
-                m = pc.is_null(t[k])
-                mask = m if mask is None else pc.or_(mask, m)
-            t = t.filter(mask)
-            cols = []
-            for f in out_schema:
-                if f.name in t.schema.names:
-                    cols.append(t[f.name].cast(f.type))
-                else:
-                    cols.append(pa.nulls(t.num_rows, f.type))
-            return pa.Table.from_arrays(cols, schema=out_schema)
-
-        rnull_out = right.map_batches(right_nulls, batch_format="pyarrow",
-                                      batch_size=None)
-
-    # runtime filter (inner only — a left join keeps non-matching rows):
-    # a Bloom filter over the right side's keys prunes the left stream
-    # BEFORE the all-to-all exchange, so the shuffle moves matching rows +
-    # false positives instead of the whole left table; no false negatives,
-    # and the exact Acero join after the exchange removes the FPs, so the
-    # result is bit-identical.  Types match by construction (right keys
-    # are cast to the left key types before hashing).
-    cfg = get_config()
-    if join_type == "inner" and cfg.bloom_bits and cfg.bloom_hashes:
-        from .bloom import bloom_contains, build_bloom
-        m, kh = cfg.bloom_bits, cfg.bloom_hashes
-
-        def rkeys(t: pa.Table) -> pa.Table:
-            t = _cast_keys(t.rename_columns(_right_names(t.column_names)))
-            return t.select(list(on))
-
-        # materialize the build side ONCE: the bloom build is a barrier
-        # pass over right, and without this the exchange union below would
-        # re-execute right's entire upstream lineage a second time.  The
-        # blocks sit in the (spillable) object store, not on the driver.
-        right = right.materialize()
-        bref = ray.put(build_bloom(
-            right.map_batches(rkeys, batch_format="pyarrow",
-                              batch_size=None), list(on), m, kh))
-
-        def lprune(b: pa.Table) -> pa.Table:
-            return b.filter(pa.array(bloom_contains(
-                ray.get(bref), b, m, kh, cols=list(on))))
-
-        left = left.map_batches(lprune, batch_format="pyarrow",
-                                batch_size=None)
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        assert _MARKER not in t.schema.names, _MARKER
-        return t.append_column(
-            _MARKER, pa.array(np.zeros(t.num_rows, dtype=np.int8)))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        t = _cast_keys(t.rename_columns(_right_names(t.column_names)))
-        for k in on:                      # null keys never match: drop early
-            t = t.filter(pc.is_valid(t[k]))
-        names = [c if c in on else _DIM_PREFIX + c for c in t.column_names]
-        return t.rename_columns(names).append_column(
-            _MARKER, pa.array(np.ones(t.num_rows, dtype=np.int8)))
-
-    uni = left.map_batches(tag_left, batch_format="pyarrow",
-                           batch_size=None) \
-        .union(right.map_batches(tag_right, batch_format="pyarrow",
-                                 batch_size=None))
-    parts = _use_hash_shuffle(uni, nparts).repartition(
-        num_blocks=nparts, keys=list(on))
-
-    def probe(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or t.num_rows == 0 \
-                or _MARKER not in t.schema.names:
-            return out_schema.empty_table()
-        is_right = pc.fill_null(pc.equal(t[_MARKER], 1), False)
-        left_rows = t.filter(pc.invert(is_right))
-        if left_rows.num_rows == 0 and how != "full":
-            return out_schema.empty_table()
-        # a partition that received only right rows has no left columns
-        lt = pa.table(
-            {f.name: left_rows[f.name].cast(f.type) for f in left_schema}) \
-            if left_rows.num_rows else left_schema.empty_table()
-        right_rows = t.filter(is_right)
-        rcols = {k: right_rows[k].cast(key_types[k]) for k in on}
-        for f in payload_fields:
-            pref = _DIM_PREFIX + f.name
-            rcols[f.name] = right_rows[pref].cast(f.type) \
-                if pref in t.schema.names \
-                else pa.nulls(right_rows.num_rows, f.type)
-        return _local_join(lt, pa.table(rcols))
-
-    joined = parts.map_batches(probe, batch_format="pyarrow",
-                               batch_size=None)
-    return joined.union(rnull_out) if rnull_out is not None else joined
+    return _exchange(left, right, names, on, nparts, kernel).union(
+        right.map_batches(right_nulls, batch_format="pyarrow",
+                          batch_size=None))
 
 
-def _distinct_probe_keys(keys_ds: rd.Dataset, key_col: str, fact_key: str,
-                         limit: int) -> tuple[rd.Dataset, pa.Array | None]:
-    """Distinct ``key_col`` values; if the materialized distinct set fits
-    the byte budget, also return the non-null values as one Arrow array
-    for a broadcast ``is_in`` probe (else ``None`` -> shuffled-probe path,
-    with the keys dataset renamed to ``fact_key``).  ``distinct_rows``
-    never emits zero-column blocks, so the rename needs no guard, and an
-    empty key set is zero bytes: a zero-length array that semi/anti
-    short-circuit on."""
+def _distinct_probe_keys(keys_ds: rd.Dataset, key_col: str
+                         ) -> tuple[rd.Dataset, pa.Array | None]:
+    """The materialized distinct ``key_col`` values and, when they fit the
+    byte budget, their non-null values as one Arrow array for the
+    broadcast ``is_in`` probe (else ``None``: the exchange).  An empty key
+    set is zero bytes, so it always broadcasts (a zero-length array)."""
     from .dedup import distinct_rows
-    keys = distinct_rows(keys_ds, [key_col]).materialize()
-    if keys.size_bytes() <= limit:
-        return keys, _collect_table(keys)[key_col].combine_chunks().drop_null()
-    return keys.map_batches(lambda t: t.rename_columns([fact_key]),
-                            batch_format="pyarrow", batch_size=None), None
+    keys, tbl = _sized(distinct_rows(keys_ds, [key_col]))
+    return keys, None if tbl is None \
+        else tbl[key_col].combine_chunks().drop_null()
 
 
-_MARKER = "__slar_probe__"
-
-
-def _bloom_prefilter(fact: rd.Dataset, keys: rd.Dataset, fact_key: str,
-                     keep_members: bool) -> tuple[rd.Dataset, rd.Dataset | None]:
-    """Bloom pre-exchange pruning for the large-key-set semi/anti path
-    (see ``stages/bloom.py``).  Returns ``(to_probe, definite)``:
-
-    - semi (``keep_members``): ``to_probe`` = Bloom-positive fact rows
-      (members + false positives; the exact shuffled probe removes the
-      FPs), ``definite`` = None.
-    - anti: ``to_probe`` = Bloom-positive rows (need the exact probe),
-      ``definite`` = Bloom-NEGATIVE rows — guaranteed non-members, emitted
-      with no exchange at all (no false negatives by construction).
-
-    Cost: one distributed bitmap build over the (already distinct) key
-    set + one extra scan of the fact stream for anti's definite split; the
-    exchange then moves only the Bloom-positive residue instead of the
-    whole fact table.  ``Config.bloom_bits = 0`` disables (returns the
-    fact stream unchanged)."""
-    from .bloom import bloom_contains, build_bloom
-
-    cfg = get_config()
-    m, k = cfg.bloom_bits, cfg.bloom_hashes
-    if not m or not k:
-        return fact, None
-    # the probe hashes the key's STRING form, so both sides must carry the
-    # same Arrow type ("3" vs "3.0" would be a false NEGATIVE = wrong
-    # results); on a type mismatch skip the filter — the exact shuffled
-    # probe (which compares on the union-promoted type) stays correct
-    try:
-        ftype = _arrow_schema(fact).field(fact_key).type
-        ktype = _arrow_schema(keys).field(fact_key).type
-    except (KeyError, AttributeError):
-        return fact, None
-    if ftype != ktype:
-        return fact, None
-    ref = ray.put(build_bloom(keys, fact_key, m, k))
-
-    def positive(b: pa.Table) -> pa.Table:
-        return b.filter(pa.array(
-            bloom_contains(ray.get(ref), b[fact_key], m, k)))
-
-    def negative(b: pa.Table) -> pa.Table:
-        return b.filter(pa.array(
-            ~bloom_contains(ray.get(ref), b[fact_key], m, k)))
-
-    to_probe = fact.map_batches(positive, batch_format="pyarrow",
-                                batch_size=None)
-    if keep_members:
-        return to_probe, None
-    return to_probe, fact.map_batches(negative, batch_format="pyarrow",
-                                      batch_size=None)
-
-
-def _shuffled_membership(fact: rd.Dataset, keys: rd.Dataset, fact_key: str,
-                         nparts: int, keep_members: bool) -> rd.Dataset:
-    """Large-key-set semi/anti: tag both sides, hash-repartition the UNION
-    on the key, then one vectorized per-block ``is_in`` probe.
-
-    Same cost shape as a partitioned left_semi hash join (one all-to-all
-    exchange, nothing driver-side) — but deliberately NOT ``Dataset.join``:
-    Ray 2.49.2's JoinOperator materializes a hash partition that received
-    no shards as a zero-column table, and ``pa.Table.join`` then fails
-    schema resolution ("No match ... for FieldRef") whenever ANY partition
-    is empty on one side (join.py:104-126 builds each side with a bare
-    ArrowBlockBuilder).  The tagged-union probe has no such edge: an
-    all-fact partition just probes an empty key set."""
-    import numpy as np
-    from .dedup import _use_hash_shuffle
-
-    def tag_fact(t: pa.Table) -> pa.Table:
-        assert _MARKER not in t.schema.names, _MARKER
-        return t.append_column(
-            _MARKER, pa.array(np.zeros(t.num_rows, dtype=np.int8)))
-
-    def tag_keys(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            _MARKER, pa.array(np.ones(t.num_rows, dtype=np.int8)))
-
-    uni = fact.map_batches(tag_fact, batch_format="pyarrow",
-                           batch_size=None) \
-        .union(keys.map_batches(tag_keys, batch_format="pyarrow",
-                                batch_size=None))
-    parts = _use_hash_shuffle(uni, nparts).repartition(
-        num_blocks=nparts, keys=[fact_key])
-
-    def probe(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            return t
-        is_key = pc.equal(t[_MARKER], 1)
-        keyvals = t.filter(is_key)[fact_key].combine_chunks().drop_null()
-        fact_rows = t.filter(pc.invert(is_key)).drop_columns([_MARKER])
-        mask = pc.fill_null(
-            pc.is_in(fact_rows[fact_key], value_set=keyvals), False)
-        if not keep_members:
-            mask = pc.invert(mask)
-        return fact_rows.filter(mask)
-
-    return parts.map_batches(probe, batch_format="pyarrow", batch_size=None)
+def _membership(fact: rd.Dataset, keys_ds: rd.Dataset, fact_key: str,
+                key_col: str, nparts: int, keep: bool) -> rd.Dataset:
+    keys, arr = _distinct_probe_keys(keys_ds, key_col)
+    names, kernel = {key_col: fact_key}, _member_kernel(fact_key, keep)
+    if arr is not None:
+        return _broadcast(fact, pa.table({key_col: arr}), names, [fact_key],
+                          kernel)
+    return _exchange(fact, keys, names, [fact_key], nparts, kernel,
+                     "prune" if keep else "split")
 
 
 def semi_join(fact: rd.Dataset, keys_ds: rd.Dataset, fact_key: str,
-              key_col: str, nparts: int = 8,
-              broadcast_max_bytes: int | None = None) -> rd.Dataset:
-    """Keep fact rows whose ``fact_key`` appears in ``keys_ds[key_col]``.
-
-    Small key set (materialized bytes under the Config threshold): distinct
-    non-null keys broadcast once with ray.put, vectorized ``is_in`` per
-    batch — the reference's J3-style membership probe.  Large key set:
-    tagged-union hash-partitioned probe (both sides shuffle; nothing
-    driver-side).  Null fact keys never match, matching SQL semantics."""
-    limit = get_config().broadcast_max_bytes \
-        if broadcast_max_bytes is None else broadcast_max_bytes
-    keys, arr = _distinct_probe_keys(keys_ds, key_col, fact_key, limit)
-    if arr is not None and len(arr) == 0:
-        return fact.limit(0)       # nothing can match an empty key set
-    if arr is not None:
-        ref = ray.put(arr)
-
-        def semi(b: pa.Table) -> pa.Table:   # task pool (see lookup_join)
-            mask = pc.fill_null(
-                pc.is_in(b[fact_key], value_set=ray.get(ref)), False)
-            return b.filter(mask)
-
-        return fact.map_batches(semi, batch_format="pyarrow",
-                                batch_size=None)
-    to_probe, _ = _bloom_prefilter(fact, keys, fact_key, keep_members=True)
-    return _shuffled_membership(to_probe, keys, fact_key, nparts,
-                                keep_members=True)
+              key_col: str, nparts: int = 8) -> rd.Dataset:
+    """Keep fact rows whose ``fact_key`` appears in ``keys_ds[key_col]``
+    (the reference's J3-style membership probe).  Null fact keys never
+    match, matching SQL semantics."""
+    return _membership(fact, keys_ds, fact_key, key_col, nparts, keep=True)
 
 
 def anti_join(fact: rd.Dataset, keys_ds: rd.Dataset, fact_key: str,
-              key_col: str, nparts: int = 8,
-              broadcast_max_bytes: int | None = None) -> rd.Dataset:
-    """Drop fact rows whose ``fact_key`` appears in ``keys_ds[key_col]`` —
-    the J3 anti-join shape, size-aware like semi_join: inverted ``is_in``
-    probe against a broadcast key set while it is small, the tagged-union
-    hash-partitioned probe beyond the threshold.  Null fact keys never
-    match the probe, so anti KEEPS them (LEFT JOIN ... IS NULL parity)."""
-    limit = get_config().broadcast_max_bytes \
-        if broadcast_max_bytes is None else broadcast_max_bytes
-    keys, arr = _distinct_probe_keys(keys_ds, key_col, fact_key, limit)
-    if arr is not None and len(arr) == 0:
-        return fact                # empty key set drops nothing
-    if arr is not None:
-        ref = ray.put(arr)
-
-        def anti(b: pa.Table) -> pa.Table:   # task pool (see lookup_join)
-            mask = pc.fill_null(
-                pc.is_in(b[fact_key], value_set=ray.get(ref)), False)
-            return b.filter(pc.invert(mask))
-
-        return fact.map_batches(anti, batch_format="pyarrow",
-                                batch_size=None)
-    to_probe, definite = _bloom_prefilter(fact, keys, fact_key,
-                                          keep_members=False)
-    probed = _shuffled_membership(to_probe, keys, fact_key, nparts,
-                                  keep_members=False)
-    return probed.union(definite) if definite is not None else probed
+              key_col: str, nparts: int = 8) -> rd.Dataset:
+    """Drop fact rows whose ``fact_key`` appears in ``keys_ds[key_col]``
+    (the J3 anti-join shape).  Null fact keys never match the probe, so
+    anti KEEPS them (LEFT JOIN ... IS NULL parity)."""
+    return _membership(fact, keys_ds, fact_key, key_col, nparts, keep=False)
 
 
 def range_lookup_join(fact: rd.Dataset, ranges: rd.Dataset, fact_col: str,
@@ -696,12 +471,15 @@ def skew_join(fact: rd.Dataset, dim: rd.Dataset, fact_key: str,
             keys = keys.cast(hot.type)
         return b.filter(pc.fill_null(pc.is_in(keys, value_set=hot), False))
 
+    # the hot dim slice holds <= n_hot unique keys: it always broadcasts,
+    # whatever the budget, so the hot mass never meets in one partition
     dim_hot = dim.map_batches(dim_slice, batch_format="pyarrow",
-                              batch_size=None)
-    # the hot dim slice holds <= n_hot unique keys -> always broadcastable
-    joined_hot = lookup_join(fact_hot, dim_hot, fact_key, dim_key,
-                             nparts=nparts, how=how,
-                             broadcast_max_bytes=2**62)
+                              batch_size=None).materialize()
+    joined_hot = _broadcast(fact_hot, _collect_table(dim_hot),
+                            {dim_key: fact_key}, [fact_key],
+                            _lookup_kernel(fact_key, how == "inner"))
     joined_cold = lookup_join(fact_cold, dim, fact_key, dim_key,
                               nparts=nparts, how=how)
-    return joined_hot.union(joined_cold)
+    # a union runs under its first input's DataContext: the cold join goes
+    # first so a hash exchange there keeps the HASH_SHUFFLE it needs
+    return joined_cold.union(joined_hot)

@@ -34,15 +34,18 @@ def ray_session():
 
 
 # The two finishes of stages.dedup.keyed_fold (under grouped aggregates,
-# distinct, dedup, per-group top-k and the semi/anti key set): partials
-# within the default Config.broadcast_max_bytes budget combine on the driver;
-# a zero budget sends any non-empty partials through the hash exchange.
+# distinct, dedup, per-group top-k and the semi/anti key set) and the two
+# paths of the equi-joins in stages.joins: partials or a materialized build
+# side within the default Config.broadcast_max_bytes budget combine on the
+# driver or broadcast; a zero budget sends any non-empty ones through the
+# hash exchange.
 FINAL_PATHS = ("driver", "exchange")
 
 
 @contextlib.contextmanager
 def final_path(path: str):
-    """Run the keyed folds built inside the block on one final path."""
+    """Run the keyed folds and joins built inside the block on one final
+    path."""
     from security_log_analysis_rust_ray.config import override, set_config
     assert path in FINAL_PATHS, path
     prev = override(broadcast_max_bytes=0) if path == "exchange" else None

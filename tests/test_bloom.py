@@ -13,6 +13,8 @@ import pytest
 from security_log_analysis_rust_ray.stages.bloom import (
     bloom_contains, bloom_partial)
 
+from .conftest import final_path
+
 M_BITS = 1 << 16
 K = 6
 
@@ -84,9 +86,11 @@ def test_hash_join_runtime_filter_inner(tmp_path):
     pq.write_table(pa.Table.from_pandas(left), str(ldir / "p.parquet"))
     pq.write_table(pa.Table.from_pandas(right), str(rdir / "p.parquet"))
 
-    got = hash_join(rd.read_parquet(str(ldir)), rd.read_parquet(str(rdir)),
-                    on=("k", "s"), right_on=("rk", "rs"), nparts=4,
-                    how="inner", broadcast_max_bytes=0).to_pandas()
+    with final_path("exchange"):
+        got = hash_join(rd.read_parquet(str(ldir)),
+                        rd.read_parquet(str(rdir)),
+                        on=("k", "s"), right_on=("rk", "rs"), nparts=4,
+                        how="inner").to_pandas()
     exp = left.merge(right.rename(columns={"rk": "k", "rs": "s"}),
                      on=["k", "s"], how="inner")
     cols = ["k", "s", "v", "w"]
@@ -118,14 +122,12 @@ def test_semi_anti_with_bloom_prefilter(tmp_path):
     kset = set(keys["kk"].dropna().astype(int))
     member = fact["k"].isin(kset)
 
-    # broadcast_max_bytes=0 forces the shuffled path, which engages the
-    # Bloom prefilter (default Config has bloom_bits > 0)
-    semi = semi_join(rd.read_parquet(fdir), rd.read_parquet(kdir),
-                     "k", "kk", nparts=4,
-                     broadcast_max_bytes=0).to_pandas()
-    anti = anti_join(rd.read_parquet(fdir), rd.read_parquet(kdir),
-                     "k", "kk", nparts=4,
-                     broadcast_max_bytes=0).to_pandas()
+    # the exchange path engages the Bloom prefilter (BLOOM_BITS > 0)
+    with final_path("exchange"):
+        semi = semi_join(rd.read_parquet(fdir), rd.read_parquet(kdir),
+                         "k", "kk", nparts=4).to_pandas()
+        anti = anti_join(rd.read_parquet(fdir), rd.read_parquet(kdir),
+                         "k", "kk", nparts=4).to_pandas()
 
     def canon(df):
         return df.sort_values(["v"]).reset_index(drop=True)[["k", "v"]]
@@ -141,27 +143,24 @@ def test_semi_anti_with_bloom_prefilter(tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_bloom_disabled_matches(tmp_path, monkeypatch):
     import ray.data as rd
-    from security_log_analysis_rust_ray import config as cfgmod
+    from security_log_analysis_rust_ray.stages import bloom
     from security_log_analysis_rust_ray.stages.joins import anti_join
 
     fdir, kdir, fact, keys = _mk(tmp_path)
     kset = set(keys["kk"].dropna().astype(int))
     expected = fact[~fact["k"].isin(kset)]
 
-    cfgmod.set_config(cfgmod.Config(bloom_bits=0))
-    try:
+    monkeypatch.setattr(bloom, "BLOOM_BITS", 0)
+    with final_path("exchange"):
         anti = anti_join(rd.read_parquet(fdir), rd.read_parquet(kdir),
-                         "k", "kk", nparts=4,
-                         broadcast_max_bytes=0).to_pandas()
-    finally:
-        cfgmod.set_config(None)
+                         "k", "kk", nparts=4).to_pandas()
     got = anti.sort_values(["v"]).reset_index(drop=True)[["k", "v"]]
     exp = expected.sort_values(["v"]).reset_index(drop=True)[["k", "v"]]
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_bloom_non_aligned_bits_no_false_negatives():
-    """Config.bloom_bits need not be a multiple of 64 (r03 review): the
+    """The bitmap size need not be a multiple of 64 (r03 review): the
     size is normalized identically at build and probe, so odd sizes
     neither crash nor produce false negatives."""
     import numpy as np

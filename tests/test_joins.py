@@ -10,6 +10,8 @@ import pytest
 
 from security_log_analysis_rust_ray.stages.joins import lookup_join
 
+from .conftest import FINAL_PATHS, final_path
+
 
 def _mk(tmp_path):
     import pyarrow as pa
@@ -32,10 +34,10 @@ def test_lookup_join_paths_agree(tmp_path, how):
     # broadcast path (dim well under the threshold)
     bc = lookup_join(rd.read_parquet(fdir), rd.read_parquet(ddir),
                      "k", "dk", nparts=4, how=how).to_pandas()
-    # shuffle path (threshold forced to zero -> dim "too big" to broadcast)
-    sh = lookup_join(rd.read_parquet(fdir), rd.read_parquet(ddir),
-                     "k", "dk", nparts=4, how=how,
-                     broadcast_max_bytes=0).to_pandas()
+    # shuffle path (budget forced to zero -> dim "too big" to broadcast)
+    with final_path("exchange"):
+        sh = lookup_join(rd.read_parquet(fdir), rd.read_parquet(ddir),
+                         "k", "dk", nparts=4, how=how).to_pandas()
 
     def canon(df):
         df = df[sorted(df.columns)]
@@ -69,8 +71,10 @@ def test_semi_join_paths_agree(tmp_path):
 
     bc = semi_join(rd.read_parquet(str(fdir)), rd.read_parquet(str(kdir)),
                    "k", "kk", nparts=4).to_pandas()
-    sh = semi_join(rd.read_parquet(str(fdir)), rd.read_parquet(str(kdir)),
-                   "k", "kk", nparts=4, broadcast_max_bytes=0).to_pandas()
+    with final_path("exchange"):
+        sh = semi_join(rd.read_parquet(str(fdir)),
+                       rd.read_parquet(str(kdir)),
+                       "k", "kk", nparts=4).to_pandas()
     pd.testing.assert_frame_equal(canon(bc), canon(expected), check_dtype=False)
     pd.testing.assert_frame_equal(canon(sh), canon(expected), check_dtype=False)
 
@@ -94,8 +98,10 @@ def test_anti_join_paths_agree(tmp_path):
 
     bc = anti_join(rd.read_parquet(str(fdir)), rd.read_parquet(str(kdir)),
                    "k", "kk", nparts=4).to_pandas()
-    sh = anti_join(rd.read_parquet(str(fdir)), rd.read_parquet(str(kdir)),
-                   "k", "kk", nparts=4, broadcast_max_bytes=0).to_pandas()
+    with final_path("exchange"):
+        sh = anti_join(rd.read_parquet(str(fdir)),
+                       rd.read_parquet(str(kdir)),
+                       "k", "kk", nparts=4).to_pandas()
     pd.testing.assert_frame_equal(canon(bc), canon(expected), check_dtype=False)
     pd.testing.assert_frame_equal(canon(sh), canon(expected), check_dtype=False)
 
@@ -115,8 +121,10 @@ def test_lookup_join_hot_key_shuffle_path(tmp_path):
     fdir.mkdir(), ddir.mkdir()
     pq.write_table(pa.Table.from_pandas(fact), str(fdir / "p.parquet"))
     pq.write_table(pa.Table.from_pandas(dim), str(ddir / "p.parquet"))
-    out = lookup_join(rd.read_parquet(str(fdir)), rd.read_parquet(str(ddir)),
-                      "k", "dk", nparts=4, broadcast_max_bytes=0).to_pandas()
+    with final_path("exchange"):
+        out = lookup_join(rd.read_parquet(str(fdir)),
+                          rd.read_parquet(str(ddir)),
+                          "k", "dk", nparts=4).to_pandas()
     assert len(out) == n
     assert (out[out["k"] == 0]["name"] == "n0").all()
     assert out[out["k"] == 0].shape[0] == (k == 0).sum()
@@ -139,18 +147,18 @@ def test_semi_anti_null_keys_both_paths(tmp_path):
     pq.write_table(pa.Table.from_pandas(fact), str(fdir / "p.parquet"))
     pq.write_table(pa.Table.from_pandas(keys), str(kdir / "p.parquet"))
 
-    for bmax in (None, 0):   # broadcast path, then hash-join path
-        kw = {} if bmax is None else {"broadcast_max_bytes": 0}
-        semi = semi_join(rd.read_parquet(str(fdir)),
-                         rd.read_parquet(str(kdir)), "k", "kk",
-                         nparts=4, **kw).to_pandas()
-        anti = anti_join(rd.read_parquet(str(fdir)),
-                         rd.read_parquet(str(kdir)), "k", "kk",
-                         nparts=4, **kw).to_pandas()
-        assert sorted(semi["k"].tolist()) == ["b", "d"], f"bmax={bmax}"
+    for path in FINAL_PATHS:   # broadcast path, then hash-join path
+        with final_path(path):
+            semi = semi_join(rd.read_parquet(str(fdir)),
+                             rd.read_parquet(str(kdir)), "k", "kk",
+                             nparts=4).to_pandas()
+            anti = anti_join(rd.read_parquet(str(fdir)),
+                             rd.read_parquet(str(kdir)), "k", "kk",
+                             nparts=4).to_pandas()
+        assert sorted(semi["k"].tolist()) == ["b", "d"], f"path={path}"
         kept = anti["k"].tolist()
         assert kept.count(None) == 2 and sorted(
-            x for x in kept if x is not None) == ["a", "c"], f"bmax={bmax}"
+            x for x in kept if x is not None) == ["a", "c"], f"path={path}"
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -171,14 +179,16 @@ def test_lookup_join_left_schema_parity(tmp_path):
 
     bc = lookup_join(rd.read_parquet(str(fdir)), rd.read_parquet(str(ddir)),
                      "k", "dk", nparts=4, how="left")
-    sh = lookup_join(rd.read_parquet(str(fdir)), rd.read_parquet(str(ddir)),
-                     "k", "dk", nparts=4, how="left", broadcast_max_bytes=0)
     bt = pa.concat_tables(
         [b for b in bc.iter_batches(batch_format="pyarrow")][:: 1],
         promote_options="default")
-    st = pa.concat_tables(
-        [b for b in sh.iter_batches(batch_format="pyarrow")][:: 1],
-        promote_options="default")
+    with final_path("exchange"):
+        sh = lookup_join(rd.read_parquet(str(fdir)),
+                         rd.read_parquet(str(ddir)),
+                         "k", "dk", nparts=4, how="left")
+        st = pa.concat_tables(
+            [b for b in sh.iter_batches(batch_format="pyarrow")][:: 1],
+            promote_options="default")
     assert bt.schema.field("num").type == st.schema.field("num").type \
         == pa.int64()
     got = bt.to_pandas().sort_values("v").reset_index(drop=True)
@@ -192,8 +202,8 @@ def test_hash_join_tiny_dim_empty_partitions(tmp_path, how):
     side: a 2-row dim against 16 partitions leaves ~14 dim-empty
     partitions, which crashed Ray's JoinOperator with ArrowInvalid
     ("No match ... for FieldRef") — the tagged-union probe replaces it.
-    A DERIVED dim (map_batches output, no input files -> unknown size)
-    lands on this path even when tiny."""
+    A zero budget sends even this tiny DERIVED dim (map_batches output)
+    through the exchange."""
     import pyarrow as pa
     import ray.data as rd
     fdir, ddir, fact, dim = _mk(tmp_path)
@@ -202,8 +212,9 @@ def test_hash_join_tiny_dim_empty_partitions(tmp_path, how):
     dim_ds = rd.read_parquet(str(ddir)).map_batches(
         lambda b: b.filter(pa.compute.less(b["dk"], 2)),
         batch_format="pyarrow", batch_size=None)
-    out = lookup_join(rd.read_parquet(str(fdir)), dim_ds, "k", "dk",
-                      nparts=16, how=how, broadcast_max_bytes=0).to_pandas()
+    with final_path("exchange"):
+        out = lookup_join(rd.read_parquet(str(fdir)), dim_ds, "k", "dk",
+                          nparts=16, how=how).to_pandas()
     canon = lambda d: d.sort_values(["k", "v"]).reset_index(drop=True)[
         ["k", "v", "name"]]
     pd.testing.assert_frame_equal(canon(out), canon(expected),
@@ -222,8 +233,9 @@ def test_hash_join_empty_dim_left_keeps_payload_schema(tmp_path):
     dim_ds = rd.read_parquet(str(ddir)).map_batches(
         lambda b: b.filter(pa.compute.less(b["dk"], -1)),
         batch_format="pyarrow", batch_size=None)
-    out = lookup_join(rd.read_parquet(str(fdir)), dim_ds, "k", "dk",
-                      nparts=8, how="left", broadcast_max_bytes=0).to_pandas()
+    with final_path("exchange"):
+        out = lookup_join(rd.read_parquet(str(fdir)), dim_ds, "k", "dk",
+                          nparts=8, how="left").to_pandas()
     assert len(out) == len(fact)
     assert "name" in out.columns and out["name"].isna().all()
 
@@ -252,10 +264,10 @@ def test_mn_hash_join_matches_pandas(tmp_path, path, how):
     pq.write_table(pa.Table.from_pandas(left), str(ldir / "p.parquet"))
     pq.write_table(pa.Table.from_pandas(right), str(rdir / "p.parquet"))
 
-    bmax = None if path == "broadcast" else 0
-    out = hash_join(rd.read_parquet(ldir), rd.read_parquet(rdir),
-                    on=("a",), right_on=("k",), how=how, nparts=6,
-                    broadcast_max_bytes=bmax).to_pandas()
+    with final_path("driver" if path == "broadcast" else "exchange"):
+        out = hash_join(rd.read_parquet(ldir), rd.read_parquet(rdir),
+                        on=("a",), right_on=("k",), how=how,
+                        nparts=6).to_pandas()
     exp = left.merge(right.dropna(subset=["k"]), how=how,
                      left_on="a", right_on="k")[["a", "lv", "rv"]]
     if how == "inner":
@@ -287,11 +299,11 @@ def test_mn_hash_join_composite_key_rename_and_empty_parts(tmp_path):
     pq.write_table(pa.Table.from_pandas(left), str(ldir / "p.parquet"))
     pq.write_table(pa.Table.from_pandas(right), str(rdir / "p.parquet"))
 
-    for bmax in (None, 0):
-        out = hash_join(rd.read_parquet(ldir), rd.read_parquet(rdir),
-                        on=("x", "h"), right_on=("doc", "h"),
-                        rename={"w": "wt"}, nparts=16,
-                        broadcast_max_bytes=bmax).to_pandas()
+    for path in FINAL_PATHS:
+        with final_path(path):
+            out = hash_join(rd.read_parquet(ldir), rd.read_parquet(rdir),
+                            on=("x", "h"), right_on=("doc", "h"),
+                            rename={"w": "wt"}, nparts=16).to_pandas()
         got = out.sort_values(list(out.columns)).reset_index(drop=True)
         exp = pd.DataFrame({"x": [1, 1, 3], "h": [7, 7, 9],
                             "p": ["a", "a", "d"], "wt": [1.0, 2.0, 5.0]})
@@ -326,9 +338,8 @@ def test_mn_hash_join_property_vs_pandas(lkeys, rkeys, how, shuffle_path):
         .repartition(3)
     rds = rd.from_arrow(pa.Table.from_pandas(right, preserve_index=False)) \
         .repartition(2)
-    out = hash_join(lds, rds, on=("k",), how=how, nparts=5,
-                    broadcast_max_bytes=0 if shuffle_path else None) \
-        .to_pandas()
+    with final_path("exchange" if shuffle_path else "driver"):
+        out = hash_join(lds, rds, on=("k",), how=how, nparts=5).to_pandas()
     exp = left.merge(right.dropna(subset=["k"]), on="k", how=how)
     if how == "inner":
         exp = exp.dropna(subset=["k"])
@@ -359,12 +370,11 @@ def test_semi_anti_empty_key_set():
     fact = rd.from_arrow(pa.table({"g": pa.array(["a", "b", None]),
                                    "v": pa.array([1, 2, 3])}))
     empty = rd.from_arrow(pa.table({"g": pa.array([], pa.string())}))
-    for limit in (None, 0):   # broadcast gate and shuffled path
-        s = semi_join(fact, empty, "g", "g", nparts=4,
-                      broadcast_max_bytes=limit)
-        assert s.count() == 0
-        a = anti_join(fact, empty, "g", "g", nparts=4,
-                      broadcast_max_bytes=limit).to_pandas()
+    for path in FINAL_PATHS:   # broadcast gate and shuffled path
+        with final_path(path):
+            s = semi_join(fact, empty, "g", "g", nparts=4)
+            assert s.count() == 0
+            a = anti_join(fact, empty, "g", "g", nparts=4).to_pandas()
         assert sorted(a["v"].tolist()) == [1, 2, 3]
 
 
@@ -379,12 +389,13 @@ def test_lookup_join_null_dim_key_never_matches():
                                    "v": pa.array([10, 20, 30])}))
     dim = rd.from_arrow(pa.table({"dk": pa.array([1, None], pa.int64()),
                                   "name": pa.array(["one", "NULLROW"])}))
-    for limit in (None, 0):
-        out = lookup_join(fact, dim, "k", "dk", nparts=4, how="inner",
-                          broadcast_max_bytes=limit).to_pandas()
+    for path in FINAL_PATHS:
+        with final_path(path):
+            out = lookup_join(fact, dim, "k", "dk", nparts=4,
+                              how="inner").to_pandas()
+            left = lookup_join(fact, dim, "k", "dk", nparts=4,
+                               how="left").to_pandas()
         assert sorted(out["v"].tolist()) == [10]
         assert "NULLROW" not in set(out["name"])
-        left = lookup_join(fact, dim, "k", "dk", nparts=4, how="left",
-                           broadcast_max_bytes=limit).to_pandas()
         assert len(left) == 3
         assert "NULLROW" not in set(left["name"].dropna())

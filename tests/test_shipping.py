@@ -98,3 +98,63 @@ def test_queries_run_without_explicit_ray_init():
             if ln.startswith("RESULT:")]
     assert line, proc.stdout[-2000:]
     assert json.loads(line[0][len("RESULT:"):])["rows"] > 0
+
+
+STALE_SCRIPT = r"""
+import json, sys, warnings
+warnings.filterwarnings("ignore")
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+sys.path.insert(0, sys.argv[1])
+import pyarrow as pa
+import ray.data as rd
+from security_log_analysis_rust_ray.shipping import ensure_worker_importable
+from security_log_analysis_rust_ray.stages.dedup import distinct_rows
+try:
+    ensure_worker_importable()
+except RuntimeError as exc:
+    print("ERROR:" + json.dumps(str(exc)))
+    sys.exit(0)
+ds = rd.from_arrow(pa.table({"k": [f"k{i % 5}" for i in range(40)]}))
+print("RESULT:" + json.dumps(distinct_rows(ds.repartition(4), ["k"]).count()))
+"""
+
+
+def test_stale_package_copy_in_cwd_never_runs(tmp_path):
+    """A package of the same name in the driver's cwd is what workers
+    import, and by-reference pickling would run its code.  The copy here
+    has an altered per-block UDF (every block loses its rows); the driver
+    must give the true distinct count or a clear error naming both copies,
+    never the altered result."""
+    import os
+    import shutil
+
+    import security_log_analysis_rust_ray as pkg
+
+    driver_dir = os.path.dirname(os.path.abspath(pkg.__file__))
+    repo = os.path.dirname(driver_dir)
+    stale = tmp_path / "security_log_analysis_rust_ray"
+    shutil.copytree(driver_dir, stale,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    dedup = stale / "stages" / "dedup.py"
+    src = dedup.read_text()
+    head = "def _fill_sentinel(batch: pa.Table, cols: list[str]) -> pa.Table:\n"
+    assert head in src
+    dedup.write_text(src.replace(head, head + "    return batch.slice(0, 0)\n"))
+
+    proc = subprocess.run([sys.executable, "-c", STALE_SCRIPT, repo],
+                          cwd=str(tmp_path), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = [ln for ln in proc.stdout.splitlines()
+           if ln.startswith(("RESULT:", "ERROR:"))]
+    assert out, proc.stdout[-2000:]
+    if out[0].startswith("RESULT:"):
+        assert json.loads(out[0][len("RESULT:"):]) == 5
+    else:
+        msg = json.loads(out[0][len("ERROR:"):])
+        assert os.path.realpath(str(stale)) in msg
+        assert os.path.realpath(driver_dir) in msg

@@ -249,11 +249,11 @@ def test_mn_hash_join_hot_key_skew():
     right = pd.DataFrame({"k": [7] * 50 + [2, 9],
                           "rv": list(range(52))})
     exp = left.merge(right, on="k")          # 100k hot rows + 1
-    for bmax in (None, 0):
-        out = hash_join(rd.from_pandas(left).repartition(8),
-                        rd.from_pandas(right).repartition(4),
-                        on=("k",), nparts=8,
-                        broadcast_max_bytes=bmax).to_pandas()
+    for path in FINAL_PATHS:
+        with final_path(path):
+            out = hash_join(rd.from_pandas(left).repartition(8),
+                            rd.from_pandas(right).repartition(4),
+                            on=("k",), nparts=8).to_pandas()
         assert len(out) == len(exp)
         g = out.sort_values(["k", "lv", "rv"]).reset_index(drop=True)
         e = exp.sort_values(["k", "lv", "rv"]).reset_index(drop=True)

@@ -5,6 +5,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from .conftest import final_path
+
 
 def _mk(ray_mod, hot_frac=0.9, n=20_000):
     import ray.data as rd
@@ -31,8 +33,8 @@ def test_skew_join_matches_hash_join():
     import ray
     fact, dim = _mk(ray)
     got = skew_join(fact, dim, "k", "dk", how="inner").to_pandas()
-    want = lookup_join(fact, dim, "k", "dk", how="inner",
-                       broadcast_max_bytes=0).to_pandas()
+    with final_path("exchange"):
+        want = lookup_join(fact, dim, "k", "dk", how="inner").to_pandas()
     pd.testing.assert_frame_equal(_canon(got), _canon(want),
                                   check_dtype=False)
 
@@ -48,8 +50,8 @@ def test_skew_join_left_and_explicit_hot_keys():
                                    "name": pa.array(["seven", "eight"])}))
     got = skew_join(fact, dim2, "k", "dk", how="left",
                     hot_keys=pa.array([7], pa.int64())).to_pandas()
-    want = lookup_join(fact, dim2, "k", "dk", how="left",
-                       broadcast_max_bytes=0).to_pandas()
+    with final_path("exchange"):
+        want = lookup_join(fact, dim2, "k", "dk", how="left").to_pandas()
     pd.testing.assert_frame_equal(_canon(got), _canon(want),
                                   check_dtype=False)
 
@@ -74,4 +76,33 @@ def test_skew_join_uniform_fact_no_hot_keys_path():
                     hot_keys=pa.array([], pa.int64())).to_pandas()
     want = lookup_join(fact, dim, "k", "dk", how="inner").to_pandas()
     pd.testing.assert_frame_equal(_canon(got), _canon(want),
+                                  check_dtype=False)
+
+
+def _keyed_repartitions(op) -> int:
+    """Hash repartitions (``repartition(keys=...)``) in ``op``'s plan."""
+    n, stack = 0, [op]
+    while stack:
+        op = stack.pop()
+        n += type(op).__name__ == "Repartition" and bool(op._keys)
+        stack.extend(op.input_dependencies)
+    return n
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_skew_join_hot_slice_broadcasts_on_exchange_budget():
+    """With a zero byte budget the cold rows take the hash exchange, but
+    the hot slice still broadcasts: its branch of the plan holds no
+    repartition, so the hot key's rows never meet in one partition."""
+    import ray
+    from security_log_analysis_rust_ray.stages.joins import (lookup_join,
+                                                             skew_join)
+    fact, dim = _mk(ray)
+    with final_path("exchange"):
+        out = skew_join(fact, dim, "k", "dk", how="inner")
+        want = lookup_join(fact, dim, "k", "dk", how="inner").to_pandas()
+    cold, hot = out._logical_plan.dag.input_dependencies
+    assert _keyed_repartitions(hot) == 0
+    assert _keyed_repartitions(cold) == 1
+    pd.testing.assert_frame_equal(_canon(out.to_pandas()), _canon(want),
                                   check_dtype=False)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -35,7 +36,6 @@ def corpus_fingerprint(sf_dir: str) -> str:
     """md5 over every input table's parquet bytes (name-sorted) — pins the
     exact corpus a sweep report was produced against."""
     import hashlib
-    import os
     h = hashlib.md5()
     for t in TABLES:
         path = os.path.join(sf_dir, f"{t}.parquet")
@@ -95,7 +95,9 @@ def main() -> int:
     import duckdb
     import pandas as pd
 
-    sys.path.insert(0, "/root/repo")
+    # the checkout this script lives in, not any other copy
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as mod
 
     qs, osql = mod.queries(), mod.oracle_sql()
