@@ -10,12 +10,16 @@ input file name + fingerprint, T4 lineage pattern):
   -> write ONE routed sink hive-partitioned by (shard, sink) — fan-out as
      partitioning: a single pass feeds all logical sinks, where the
      reference runs one Postgres insert path per table
-     (src/parse_logs.rs:337-371)
+     (src/parse_logs.rs:337-371); each write task also returns what it
+     wrote, counted per (shard, sink, country) with max(ts)
   -> each finished shard dir moved into place, then its manifest row is
-     appended (fingerprint, rows, watermark from Parquet footers).
+     appended (fingerprint, rows, watermark, sink_rows, country_rows — all
+     folded from the write's returns, nothing read back).
 
-After the pass: aggregates/ recomputed from the written routed data — so
-aggregate lineage is exactly the manifest's shard set.
+After the pass: aggregates/ is the sum of the done records' country_rows
+(sink_rows without enrich), computed on the driver — so its lineage is
+exactly the manifest's shard set, the way the reference combines stored
+partials instead of rescanning rows (src/polars_analysis.rs:222-241).
 
 Scale notes (10^12 turns, 100 TB):
 - resume granularity = input shard; pending selection happens BEFORE the
@@ -25,8 +29,9 @@ Scale notes (10^12 turns, 100 TB):
 - a crash mid-pass leaves no manifest rows for in-flight shards (they are
   fully reprocessed on resume) and never exposes partial output (tmp root
   outside the readers' path, per-shard atomic rename);
-- the only wide op is the final small aggregate; parse/enrich/write stream
-  with backpressure and never materialize the corpus;
+- there is no wide op: parse/enrich/write stream with backpressure and
+  never materialize the corpus, and the aggregate costs
+  O(shards x countries) on the driver, not a scan of the corpus;
 - row order inside output files follows block arrival order (parallel read),
   so resume guarantees are *content* equality per partition, not byte
   equality of files.
@@ -37,16 +42,19 @@ CPUs (~772k turns/s end-to-end including the Parquet sink).
 
 from __future__ import annotations
 
-import glob
 import os
 import shutil
+import uuid
 
+import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pds
 import pyarrow.parquet as pq
 import ray.data as rd
+from ray.data import Datasink
+from ray.data.block import BlockAccessor
 
 from .. import synth
-from ..stages import aggregate as agg
 from ..stages.parse import route_parse
 from ..state.manifest import Manifest, input_fingerprint
 
@@ -54,46 +62,72 @@ ROUTED_DIR = "routed"
 AGG_DIR = "aggregates"
 
 
-def _written_stats(shard_dir: str) -> tuple[int, str | None, dict[str, int]]:
-    """(row_count, max_ts, per-sink row counts) from Parquet footers —
-    metrics come from metadata only, no data scan."""
-    rows, max_ts = 0, None
+class _RoutedSink(Datasink):
+    """The pass's one write: the routed rows in the hive (shard, sink)
+    layout under ``root``.  Each write task returns what it wrote as one
+    small table, a row per ``keys`` group with its ``count_all`` and
+    ``ts_max``; ``on_write_complete`` gathers them on the driver, so the
+    commit never reads the written files back."""
+
+    def __init__(self, root: str, keys: list[str]):
+        self.root, self.keys = root, keys
+        # one name per pass and task (as Ray's own writer names its files):
+        # a retried task overwrites its own files instead of adding rows
+        self.uuid = uuid.uuid4().hex
+        self.returns: list[pa.Table] = []
+
+    def write(self, blocks, ctx) -> pa.Table | None:
+        tables = [t for t in (BlockAccessor.for_block(b).to_arrow()
+                              for b in blocks) if t.num_rows]
+        if not tables:
+            return None
+        # a block whose column is all-null may carry it as the null type
+        t = pa.concat_tables(tables, promote_options="default")
+        pds.write_dataset(
+            t, self.root, format="parquet", partitioning=["shard", "sink"],
+            partitioning_flavor="hive",
+            basename_template=f"{self.uuid}_{ctx.task_idx:06}-{{i}}.parquet",
+            existing_data_behavior="overwrite_or_ignore")
+        return t.group_by(self.keys).aggregate([([], "count_all"),
+                                                ("ts", "max")])
+
+    def on_write_complete(self, write_result) -> None:
+        self.returns = [r for r in write_result.write_returns
+                        if r is not None]
+
+
+def _written_stats(written: list[dict]) -> tuple[int, str | None,
+                                                 dict[str, int],
+                                                 dict[str, int]]:
+    """(rows, watermark, per-sink rows, per-country rows) of one shard,
+    folded from its rows of the write's returns; null countries count in
+    ``rows`` and per sink, not per country."""
     per_sink: dict[str, int] = {}
-    for root, _dirs, files in os.walk(shard_dir):
-        sink = os.path.basename(root)
-        sink = sink.split("=", 1)[1] if sink.startswith("sink=") else None
-        for fn in files:
-            if not fn.endswith(".parquet"):
-                continue
-            md = pq.read_metadata(os.path.join(root, fn))
-            rows += md.num_rows
-            if sink:
-                per_sink[sink] = per_sink.get(sink, 0) + md.num_rows
-            schema_names = md.schema.to_arrow_schema().names
-            try:
-                ts_idx = schema_names.index("ts")
-            except ValueError:
-                continue
-            for rg in range(md.num_row_groups):
-                col = md.row_group(rg).column(ts_idx)
-                if col.statistics and col.statistics.has_min_max:
-                    m = col.statistics.max
-                    if max_ts is None or m > max_ts:
-                        max_ts = m
-    return rows, (str(max_ts) if max_ts is not None else None), per_sink
+    per_country: dict[str, int] = {}
+    for r in written:
+        n = r["count_all"]
+        per_sink[r["sink"]] = per_sink.get(r["sink"], 0) + n
+        if r.get("country") is not None:
+            per_country[r["country"]] = per_country.get(r["country"], 0) + n
+    ts = [r["ts_max"] for r in written if r["ts_max"] is not None]
+    return (sum(per_sink.values()), str(max(ts)) if ts else None, per_sink,
+            per_country)
 
 
 def scan_pending(in_dir: str, manifest: Manifest) -> list[tuple[str, str, dict]]:
     """Shards whose manifest record is missing or whose input fingerprint
     changed (new/landed/replaced files) — the pending-selection shared by
-    the one-shot and follow-mode drivers."""
+    the one-shot and follow-mode drivers.  A done record without
+    ``country_rows`` predates per-shard counts: its shard is re-ingested
+    once, so the aggregate can be summed from the manifest."""
     parts = sorted(f for f in os.listdir(in_dir) if f.endswith(".parquet"))
     pending: list[tuple[str, str, dict]] = []
     for fn in parts:
         src = os.path.join(in_dir, fn)
         shard_id = os.path.splitext(fn)[0]  # identity = input file name
         fp = input_fingerprint(src)
-        if not manifest.is_done(shard_id, fp):
+        if not manifest.is_done(shard_id, fp) \
+                or "country_rows" not in manifest.get(shard_id):
             pending.append((shard_id, src, fp))
     return pending
 
@@ -114,8 +148,8 @@ def follow_ingest(sf_dir: str, out_dir: str, in_dir: str,
     shards mid-run); returning False stops the loop.  Returns the list of
     shard ids processed per pass.
 
-    Passes skip the aggregate recompute (a tail loop wants cheap passes;
-    run the aggregate once at the end or on a timer)."""
+    Every pass that processed shards leaves ``aggregates/`` current: the
+    aggregate is a sum over the manifest, so it costs no data scan."""
     history: list[list[str]] = []
     idle = 0
     for p in range(max_passes):
@@ -124,8 +158,7 @@ def follow_ingest(sf_dir: str, out_dir: str, in_dir: str,
         ids = [sid for sid, _src, _fp in pending]
         if pending:
             idle = 0
-            run_ingest(sf_dir, out_dir, in_dir=in_dir, enrich=enrich,
-                       stop_after_shard=len(pending) - 1)
+            run_ingest(sf_dir, out_dir, in_dir=in_dir, enrich=enrich)
         else:
             idle += 1
         history.append(ids)
@@ -186,8 +219,15 @@ def run_ingest(sf_dir: str, out_dir: str, shards: int = 8, repeat: int = 1,
             from ..stages.enrich import enrich_batch
             ds = ds.map_batches(enrich_batch, batch_format="pyarrow",
                                 batch_size=None)
-        ds.write_parquet(tmp_root, partition_cols=["shard", "sink"])
+        sink = _RoutedSink(tmp_root, ["shard", "sink"]
+                           + (["country"] if enrich else []))
+        ds.write_datasink(sink)
+        written: dict[str, list[dict]] = {}
+        for t in sink.returns:
+            for r in t.to_pylist():
+                written.setdefault(r["shard"], []).append(r)
 
+        pass_rows = 0
         for shard_id, _src, fp in pending:
             src_dir = os.path.join(tmp_root, f"shard={shard_id}")
             final_dir = os.path.join(routed_root, f"shard={shard_id}")
@@ -195,10 +235,12 @@ def run_ingest(sf_dir: str, out_dir: str, shards: int = 8, repeat: int = 1,
                 shutil.rmtree(final_dir)
             if os.path.isdir(src_dir):
                 os.replace(src_dir, final_dir)
-            rows, watermark, per_sink = _written_stats(final_dir) \
-                if os.path.isdir(final_dir) else (0, None, {})
+            rows, watermark, per_sink, per_country = _written_stats(
+                written.get(shard_id, []))
             manifest.record(shard_id, status="done", input=fp, rows=rows,
-                            watermark=watermark, sink_rows=per_sink)
+                            watermark=watermark, sink_rows=per_sink,
+                            country_rows=per_country)
+            pass_rows += rows
         shutil.rmtree(tmp_root, ignore_errors=True)
 
         # pass-level METRICS (north rule: lineage records + metrics): shards
@@ -206,9 +248,6 @@ def run_ingest(sf_dir: str, out_dir: str, shards: int = 8, repeat: int = 1,
         # metrics journal so successive passes build an auditable
         # throughput history without polluting the shard lineage records
         metrics = Manifest(os.path.join(out_dir, "metrics.jsonl"))
-        pass_rows = sum(
-            manifest.records[sid]["rows"] for sid, _s, _f in pending
-            if sid in manifest.records)
         pass_bytes = sum(fp.get("size", 0) for _sid, _s, fp in pending)
         dt = _time.monotonic() - t_pass
         metrics.record(f"pass-{len(metrics.records)}", status="metrics",
@@ -220,35 +259,32 @@ def run_ingest(sf_dir: str, out_dir: str, shards: int = 8, repeat: int = 1,
     if stop_after_shard is not None:
         return manifest
 
-    # final small aggregate over the written routed data (lineage = manifest)
-    if not glob.glob(os.path.join(routed_root, "**", "*.parquet"),
-                     recursive=True):
-        # bootstrap no-op: nothing has ever been routed (e.g. a follow
-        # call against a still-empty landing zone) — read_parquet on the
-        # freshly-created empty dir would raise instead of returning
-        return manifest
-    # prune at the read: the aggregate only needs its one grouping column,
-    # so re-scanning the routed sink full-width would pay the whole corpus
-    # width for a single-column count at 100 TB
-    routed = rd.read_parquet(routed_root,
-                             columns=["country"] if enrich else ["sink"])
-    if enrich:
-        # the country aggregate only counts enrichable rows (valid country);
-        # the sink aggregate counts ALL routed rows — message-sink rows have
-        # null host by design and must not be dropped
-        routed = routed.map_batches(
-            lambda b: b.filter(pc.is_valid(b["country"])),
-            batch_format="pyarrow")
-    counts = agg.grouped_count(routed, ["country"] if enrich else ["sink"])
+    _write_aggregate(out_dir, manifest, enrich)
+    return manifest
+
+
+def _write_aggregate(out_dir: str, manifest: Manifest, enrich: bool) -> None:
+    """aggregates/: the per-country (per-sink without enrich) row counts of
+    the manifest's done shards, ``cnt`` descending then key ascending.  A
+    sum over the records on the driver — O(shards x countries), no Ray
+    execution and no read of routed/."""
+    key, field = ("country", "country_rows") if enrich \
+        else ("sink", "sink_rows")
+    totals: dict[str, int] = {}
+    for rec in manifest.records.values():
+        if rec.get("status") == "done":
+            for k, n in rec.get(field, {}).items():
+                totals[k] = totals.get(k, 0) + n
+    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+    table = pa.table({key: pa.array([k for k, _n in ranked], pa.string()),
+                      "cnt": pa.array([n for _k, n in ranked], pa.int64())})
     agg_tmp = os.path.join(out_dir, AGG_DIR + ".tmp")
     agg_final = os.path.join(out_dir, AGG_DIR)
-    for d in (agg_tmp, agg_final):
-        if os.path.exists(d):
-            shutil.rmtree(d)
-    counts.sort(["cnt"] + (["country"] if enrich else ["sink"]),
-                descending=[True, False]).write_parquet(agg_tmp)
+    shutil.rmtree(agg_tmp, ignore_errors=True)
+    os.makedirs(agg_tmp)
+    pq.write_table(table, os.path.join(agg_tmp, "part-00000.parquet"))
+    shutil.rmtree(agg_final, ignore_errors=True)
     os.replace(agg_tmp, agg_final)
-    return manifest
 
 
 def read_sink(out_dir: str, sink: str) -> rd.Dataset:

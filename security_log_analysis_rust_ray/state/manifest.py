@@ -7,6 +7,14 @@ sink, watermark, and status.  A rerun reads the manifest, skips shards whose
 record is ``done`` AND whose input fingerprint is unchanged, and reprocesses
 the rest — the batch-pipeline meaning of "resumable from checkpoint".
 
+An ingest record (``pipelines/ingest.py``) holds ``status``, ``input`` (the
+fingerprint), ``rows``, ``watermark`` (max ``ts`` written, or None),
+``sink_rows`` (rows per sink) and ``country_rows`` (rows per non-null
+country; ``{}`` when the pass did not enrich).  All counts come from what
+the shard's write reported; ``aggregates/`` is their sum over the done
+records.  A done record without ``country_rows`` predates these counts and
+makes its shard pending once.
+
 Records are JSONL, appended atomically (single write + flush + fsync) AFTER
 the shard's output directory has been atomically renamed into place, so a
 kill at any point leaves either no record (shard rewritten on resume —

@@ -5,12 +5,50 @@ final content equal to an uninterrupted run."""
 from __future__ import annotations
 
 import os
+import shutil
+from types import SimpleNamespace
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pds
+import pyarrow.parquet as pq
 import pytest
 
+from security_log_analysis_rust_ray import synth
 from security_log_analysis_rust_ray.pipelines import ingest
 from .conftest import SF_SMOKE, canonicalize
+
+
+def _aggregate(out_dir, key="country"):
+    """aggregates/ as (key, cnt) pairs in file order."""
+    t = pq.read_table(os.path.join(out_dir, ingest.AGG_DIR))
+    assert t.schema == pa.schema([(key, pa.string()), ("cnt", pa.int64())])
+    return list(zip(t[key].to_pylist(), t["cnt"].to_pylist()))
+
+
+def _routed_counts(out_dir, key="country"):
+    """An independent count of routed/**/<key> (nulls dropped), ranked as
+    the aggregate is: cnt descending, then key ascending."""
+    t = pds.dataset(os.path.join(out_dir, ingest.ROUTED_DIR),
+                    format="parquet", partitioning="hive").to_table(
+                        columns=[key])
+    vc = pc.value_counts(pc.drop_null(t[key]))
+    counts = zip(vc.field("values").to_pylist(),
+                 vc.field("counts").to_pylist())
+    return sorted(counts, key=lambda kv: (-kv[1], kv[0]))
+
+
+def _landing(tmp_path, n):
+    """A landing zone holding copies of the first ``n`` of 4 smoke shards;
+    returns (landing dir, source dir, sorted shard file names)."""
+    src = synth.ensure_transcripts_sharded(SF_SMOKE, shards=4)
+    files = sorted(f for f in os.listdir(src) if f.endswith(".parquet"))
+    landing = str(tmp_path / "landing")
+    os.makedirs(landing)
+    for f in files[:n]:
+        shutil.copy2(os.path.join(src, f), os.path.join(landing, f))
+    return landing, src, files
 
 
 def _routed_df(out_dir):
@@ -66,15 +104,7 @@ def test_kill_and_resume(tmp_path):
 def test_incremental_new_shard(tmp_path):
     """A landing zone that grows a new shard between runs: only the new
     shard is processed; existing outputs untouched (manifest fingerprints)."""
-    import shutil
-    from security_log_analysis_rust_ray import synth
-
-    src = synth.ensure_transcripts_sharded(SF_SMOKE, shards=4)
-    files = sorted(f for f in os.listdir(src) if f.endswith(".parquet"))
-    landing = str(tmp_path / "landing")
-    os.makedirs(landing)
-    for f in files[:3]:
-        shutil.copy2(os.path.join(src, f), os.path.join(landing, f))
+    landing, src, files = _landing(tmp_path, 3)
 
     out = str(tmp_path / "o")
     m1 = ingest.run_ingest(SF_SMOKE, out, enrich=False, in_dir=landing)
@@ -122,15 +152,7 @@ def test_follow_ingest_exactly_once(tmp_path):
     """Follow mode (reference daemon loop): shards landing MID-RUN are
     picked up by later passes, every shard processed exactly once, loop
     stops after idle_stop empty scans."""
-    import shutil
-    from security_log_analysis_rust_ray import synth
-
-    src = synth.ensure_transcripts_sharded(SF_SMOKE, shards=4)
-    files = sorted(f for f in os.listdir(src) if f.endswith(".parquet"))
-    landing = str(tmp_path / "landing")
-    os.makedirs(landing)
-    for f in files[:2]:
-        shutil.copy2(os.path.join(src, f), os.path.join(landing, f))
+    landing, src, files = _landing(tmp_path, 2)
 
     out = str(tmp_path / "o")
     dropped = {"n": 2}
@@ -157,7 +179,178 @@ def test_follow_ingest_exactly_once(tmp_path):
     got = _routed_df(out)
     exp = _routed_df(full_out)
     pd.testing.assert_frame_equal(got, exp)
+    # every pass that processed shards left aggregates/ current
+    assert _aggregate(out, "sink") == _aggregate(full_out, "sink")
     # a follow rerun over the quiet landing zone is a no-op
     h2 = ingest.follow_ingest(SF_SMOKE, out, landing, enrich=False,
                               idle_stop=1)
     assert all(ids == [] for ids in h2)
+
+
+# ---------------------------------------------------------------------------
+# aggregates/ is a sum over the manifest's per-shard counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.usefixtures("ray_session")
+def test_country_aggregate_full_run(tmp_path):
+    out = str(tmp_path / "o")
+    m = ingest.run_ingest(SF_SMOKE, out, shards=4)
+    assert _aggregate(out) == _routed_counts(out) != []
+    for rec in m.records.values():
+        assert sum(rec["sink_rows"].values()) == rec["rows"]
+        assert sum(rec["country_rows"].values()) <= rec["rows"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_country_aggregate_kill_and_resume(tmp_path):
+    out = str(tmp_path / "o")
+    ingest.run_ingest(SF_SMOKE, out, shards=4, stop_after_shard=1)
+    ingest.run_ingest(SF_SMOKE, out, shards=4)
+    assert _aggregate(out) == _routed_counts(out) != []
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_country_aggregate_rewritten_and_landed_shard(tmp_path):
+    landing, src, files = _landing(tmp_path, 3)
+    out = str(tmp_path / "o")
+    ingest.run_ingest(SF_SMOKE, out, in_dir=landing)
+    before = _aggregate(out)
+    # shard 1 is replaced by the first half of its rows; shard 3 lands
+    t = pq.read_table(os.path.join(src, files[1]))
+    pq.write_table(t.slice(0, t.num_rows // 2),
+                   os.path.join(landing, files[1]))
+    shutil.copy2(os.path.join(src, files[3]), os.path.join(landing, files[3]))
+    m = ingest.Manifest(os.path.join(out, "manifest.jsonl"))
+    assert [sid for sid, _s, _f in ingest.scan_pending(landing, m)] == [
+        files[1][:-8], files[3][:-8]]
+    ingest.run_ingest(SF_SMOKE, out, in_dir=landing)
+    assert _aggregate(out) == _routed_counts(out) != before
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_country_aggregate_after_compaction(tmp_path):
+    from security_log_analysis_rust_ray.sources.compact import compact_sink
+    out = str(tmp_path / "o")
+    ingest.run_ingest(SF_SMOKE, out, shards=4)
+    before = _aggregate(out)
+    compact_sink(os.path.join(out, ingest.ROUTED_DIR), target_bytes=1 << 30)
+    ingest.run_ingest(SF_SMOKE, out, shards=4)   # nothing pending
+    assert _aggregate(out) == _routed_counts(out) == before
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_sink_aggregate_is_summed_sink_rows(tmp_path):
+    out = str(tmp_path / "o")
+    m = ingest.run_ingest(SF_SMOKE, out, shards=4, enrich=False)
+    summed: dict[str, int] = {}
+    for rec in m.records.values():
+        assert rec["country_rows"] == {}
+        for k, n in rec["sink_rows"].items():
+            summed[k] = summed.get(k, 0) + n
+    assert dict(_aggregate(out, "sink")) == summed
+    assert _aggregate(out, "sink") == _routed_counts(out, "sink")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_shard_routed_away_is_done_with_no_rows(tmp_path):
+    """Every row of part-99999 matches a systemd log filter, so the router
+    drops it: the shard still gets a done record, with nothing counted."""
+    landing, src, files = _landing(tmp_path, 1)
+    t = pq.read_table(os.path.join(src, files[0]))
+    line = f"sshd[1]: {synth.SYSTEMD_LOG_FILTERS[0]} x"
+    text = pa.array([line] * t.num_rows)
+    t = t.set_column(t.schema.get_field_index("text"), "text", text)
+    pq.write_table(t, os.path.join(landing, "part-99999.parquet"))
+    out = str(tmp_path / "o")
+    m = ingest.run_ingest(SF_SMOKE, out, in_dir=landing)
+    rec = m.records["part-99999"]
+    assert rec["status"] == "done" and rec["rows"] == 0
+    assert rec["watermark"] is None
+    assert rec["sink_rows"] == rec["country_rows"] == {}
+    assert not os.path.exists(
+        os.path.join(out, ingest.ROUTED_DIR, "shard=part-99999"))
+    assert _aggregate(out) == _routed_counts(out) != []
+    assert dict(_aggregate(out)) == m.records[files[0][:-8]]["country_rows"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_record_without_country_rows_is_reingested_once(tmp_path):
+    """A done record as written before per-shard counts (no
+    ``country_rows``) makes its shard pending once; the next pass skips
+    it."""
+    import json
+    out = str(tmp_path / "o")
+    ingest.run_ingest(SF_SMOKE, out, shards=2)
+    path = os.path.join(out, "manifest.jsonl")
+    with open(path) as fh:
+        recs = [json.loads(line) for line in fh]
+    old = recs[0]["shard"]
+    del recs[0]["country_rows"]
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in recs)
+    before = _shard_mtimes(out)
+
+    ingest.run_ingest(SF_SMOKE, out, shards=2)
+    after = _shard_mtimes(out)
+    assert [s for s in before if after[s] != before[s]] == [f"shard={old}"]
+    m = ingest.Manifest(path)
+    assert "country_rows" in m.get(old)
+    assert _aggregate(out) == _routed_counts(out) != []
+
+    ingest.run_ingest(SF_SMOKE, out, shards=2)
+    assert _shard_mtimes(out) == after
+
+
+# ---------------------------------------------------------------------------
+# the routed sink itself (its write runs here without a Ray task)
+# ---------------------------------------------------------------------------
+
+def _block(n, sink="ssh", country=None):
+    return pa.table({
+        "shard": pa.array(["part-00000"] * n),
+        "sink": pa.array([sink] * n),
+        "ts": pa.array(range(n), pa.timestamp("us")),
+        "country": pa.array([country] * n, pa.string())
+        if country is not None else pa.nulls(n)})
+
+
+def _files(root):
+    return sorted(os.path.relpath(os.path.join(r, f), root)
+                  for r, _d, fs in os.walk(root) for f in fs)
+
+
+def test_routed_sink_rerun_task_overwrites_its_files(tmp_path):
+    root = str(tmp_path / "w")
+    sink = ingest._RoutedSink(root, ["shard", "sink"])
+    blocks = [_block(3), _block(2, sink="nginx")]
+    first = sink.write(blocks, SimpleNamespace(task_idx=7))
+    files = _files(root)
+    assert len(files) == 2
+    assert all(f"{sink.uuid}_000007-" in f for f in files)
+    again = sink.write(blocks, SimpleNamespace(task_idx=7))
+    assert _files(root) == files and again.equals(first)
+    back = pds.dataset(root, format="parquet", partitioning="hive").to_table()
+    assert back.num_rows == 5
+
+
+def test_routed_sink_all_empty_task_returns_nothing(tmp_path):
+    root = str(tmp_path / "w")
+    sink = ingest._RoutedSink(root, ["shard", "sink", "country"])
+    assert sink.write([_block(0), _block(0, country="x")],
+                      SimpleNamespace(task_idx=0)) is None
+    assert not os.path.exists(root)
+
+
+def test_routed_sink_concats_null_typed_columns(tmp_path):
+    root = str(tmp_path / "w")
+    sink = ingest._RoutedSink(root, ["shard", "sink", "country"])
+    null_typed = _block(3)
+    assert null_typed.schema.field("country").type == pa.null()
+    out = sink.write([null_typed, _block(2, country="Country A")],
+                     SimpleNamespace(task_idx=1))
+    got = sorted(out.to_pylist(), key=lambda r: str(r["country"]))
+    assert [(r["country"], r["count_all"]) for r in got] == [
+        ("Country A", 2), (None, 3)]
+    rows, watermark, per_sink, per_country = ingest._written_stats(got)
+    assert (rows, per_sink, per_country) == (5, {"ssh": 5}, {"Country A": 2})
+    assert watermark == "1970-01-01 00:00:00.000002"
