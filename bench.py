@@ -55,10 +55,11 @@ def run_bench() -> dict:
     from security_log_analysis_rust_ray.stages.parse import (intrusion_view,
                                                              route_parse)
 
-    d = synth.ensure_transcripts_sharded(SF_DIR, shards=SHARDS, repeat=REPEAT)
-    paths = sorted(glob.glob(os.path.join(d, "part-*.parquet")))
     import pyarrow as pa
 
+    # the timed functions are registered first and the corpora built
+    # after the SLAR_BENCH_ONLY filter: `paths` and `docs_dir` are bound
+    # below, before any of them runs
     def read():
         # no override_num_blocks: an explicit block override inserts a
         # SplitBlocks op that BREAKS read->map fusion and forces the whole
@@ -131,8 +132,6 @@ def run_bench() -> dict:
     # verify — r02).  The sf tables' documents (~5k rows) are pure fixed
     # overhead for these pipelines, so they bench against a deterministic
     # 100k-doc corpus (SLAR_BENCH_DOCS to resize)
-    docs_dir = synth.ensure_documents_bench(
-        int(os.environ.get("SLAR_BENCH_DOCS", "100000")))
     timed("simhash64", lambda: docs_pipe.simhash64(docs_dir).count())
     timed("doc_fingerprints",
           lambda: docs_pipe.doc_fingerprints(docs_dir).count())
@@ -194,6 +193,11 @@ def run_bench() -> dict:
         if not plan:
             ray.shutdown()
             sys.exit(f"SLAR_BENCH_ONLY={only!r} matches no timed query")
+
+    d = synth.ensure_transcripts_sharded(SF_DIR, shards=SHARDS, repeat=REPEAT)
+    paths = sorted(glob.glob(os.path.join(d, "part-*.parquet")))
+    docs_dir = synth.ensure_documents_bench(
+        int(os.environ.get("SLAR_BENCH_DOCS", "100000")))
 
     # warm the page cache with a pass that actually reads every column
     # (count() alone can be served from Parquet footers — ADVICE r01)

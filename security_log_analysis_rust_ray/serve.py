@@ -7,16 +7,26 @@ and the reference's axum/TLS/OAuth stack is out of scope — what IS in scope
 is the route surface, the response shapes, and the serving-layer behavior
 around the query engine:
 
+- each server parses its corpus once, like the reference's parse-at-ingest
+  tables (models.rs): the enriched intrusion view and the message view
+  (``id`` hash included) are materialized on first use, as Ray blocks in
+  the object store; the corpus under ``sf_dir`` is never written here,
 - the two geochart endpoints serve through the TTL query cache exactly like
   the reference's ``#[cached(TimedSizedCache 100/3600s)]`` handlers
   (security_log_http.rs:102-122,161-185 -> state/query_cache.py),
 - ``POST intrusion_log`` is an idempotent insert (K1): new rows land in a
   spool parquet only after a natural-key anti-join against everything the
-  server already serves (models.rs ON CONFLICT DO NOTHING analog),
+  server already serves (models.rs ON CONFLICT DO NOTHING analog); the
+  server is the spool's only writer, so it holds the spool as one
+  materialized block and refreshes it when it writes a shard,
 - ``POST cleanup`` resolves dangling hosts with the deterministic whois
   analog and upserts them (security_log_http.rs:438-462),
-- pagination/filtering run INSIDE the Dataset plan (sort+limit, pushed
-  filters), never by materializing the corpus driver-side.
+- a page is one execution over a view: each block filters, counts and
+  keeps its first ``offset + limit`` rows in page order, and the driver
+  sums the counts and sorts those partials (no global sort; a deep
+  offset brings up to ``offset + limit`` rows per block to the driver),
+- a negative or non-integer ``offset``, ``limit`` or ``ndays`` gets a 400
+  (the reference's typed ``Query`` extractor).
 
 Every handler's response is a tiny aggregate, a page, or an ack — the
 distributed work stays in the pipelines this module calls.
@@ -32,6 +42,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -50,6 +61,35 @@ _SPOOL_SCHEMA = pa.schema([
     pa.field("datetime", pa.timestamp("us")), pa.field("host", pa.string()),
     pa.field("username", pa.string())])
 
+# page orders, each ending on a row's full key: a row lands on exactly one
+# page whichever block it comes from (rows that tie on the natural key up
+# to username break the tie on it; fully equal rows are interchangeable)
+_ILOG_ORDER = [("datetime", "descending"), ("host", "ascending"),
+               ("service", "ascending"), ("server", "ascending"),
+               ("username", "ascending")]
+_MSG_ORDER = [("log_timestamp", "ascending"), ("conv_id", "ascending"),
+              ("turn_idx", "ascending")]
+
+
+class _BadRequest(ValueError):
+    """A malformed request parameter: the handlers answer 400."""
+
+
+def _count_param(q: dict, name: str, default: int) -> int:
+    """A non-negative integer query parameter (``offset``, ``limit``,
+    ``ndays``), else ``_BadRequest``."""
+    raw = q.get(name)
+    if raw is None:
+        return default
+    try:
+        v = int(raw)
+    except ValueError:
+        v = -1
+    if v < 0:
+        raise _BadRequest(f"{name} must be a non-negative integer, "
+                         f"got {raw!r}")
+    return v
+
 
 def _host_ipaddr(host: str) -> str | None:
     """Deterministic host -> ipaddr analog (P12, models.rs:51-60 dns
@@ -63,8 +103,47 @@ def _host_ipaddr(host: str) -> str | None:
     return None
 
 
+def _per_block(ds, fn) -> pa.Table | None:
+    """Run ``fn`` on every block of ``ds`` in one execution and collect
+    its (small) outputs to one table on the driver; None when no block
+    produced a row (Ray skips ``fn`` on empty blocks).  Materialized
+    first: collecting a lazy dataset runs a second, ``limit(1)``
+    execution for its schema."""
+    from .stages.dedup import _collect_table
+    out = ds.map_batches(fn, batch_format="pyarrow",
+                         batch_size=None).materialize()
+    return _collect_table(out) if out.count() else None
+
+
+def _page(ds, keep, order, offset: int, limit: int):
+    """``(total, page)`` of the rows ``keep`` selects, in ``order`` (nulls
+    last), in one execution: each block filters, counts and cuts its rows
+    to the first ``offset + limit`` in page order; the driver sums the
+    counts and sorts the partials (a per-block top-k, no global sort)."""
+    k = max(offset + limit, 1)  # >= 1: a block with rows reports its count
+
+    def top(b: pa.Table) -> pa.Table:
+        if b.num_rows:
+            b = keep(b)
+        if b.num_rows == 0:
+            return b
+        head = b.take(pc.sort_indices(b, sort_keys=order,
+                                      null_placement="at_end")[:k])
+        n = np.zeros(head.num_rows, np.int64)
+        n[0] = b.num_rows
+        return head.append_column("__n", pa.array(n))
+
+    t = _per_block(ds, top)
+    if t is None:
+        return 0, pd.DataFrame()
+    t = t.take(pc.sort_indices(t, sort_keys=order, null_placement="at_end"))
+    return (pc.sum(t["__n"]).as_py(),
+            t.slice(offset, limit).drop_columns(["__n"]).to_pandas())
+
+
 class AppState:
-    """Per-server state: corpus dir, spool/override stores, TTL caches,
+    """Per-server state: corpus dir, the corpus views and the spool block
+    (materialized once per server), spool/override stores, TTL caches,
     optional auth-user cache (T5)."""
 
     def __init__(self, sf_dir: str, state_dir: str,
@@ -81,6 +160,12 @@ class AppState:
         self.attempts_cache = TTLCache()
         self.attempts_all_cache = TTLCache()
         self.lock = threading.Lock()
+        # name -> materialized view (or the watermark table), built on
+        # first use under _views_lock (reentrant: one view's build may
+        # read another view)
+        self._views: dict = {}
+        self._views_lock = threading.RLock()
+        self._spool_rows: pa.Table | None = None
         # T5: auth-user cache, refreshed on the reference's 60 s loop
         # (security_log_http.rs:636-642); None = auth disabled (the
         # sandbox default — the reference's JWT/OAuth stack is out of
@@ -98,26 +183,105 @@ class AppState:
         from .state.token_auth import load_or_create_secret
         self.auth_secret = load_or_create_secret(state_dir)
 
+    # ---- materialized views --------------------------------------------
+
+    def _view(self, name: str, build):
+        """View ``name``, built once per server by ``build`` (double-checked
+        under a lock, so concurrent first requests build it once)."""
+        if name not in self._views:
+            with self._views_lock:
+                if name not in self._views:
+                    self._views[name] = build()
+        return self._views[name]
+
+    def _enriched(self):
+        """The enriched intrusion view: geocharts, ``intrusion_log`` pages,
+        the insert's key probe and cleanup read it."""
+        from .pipelines.reports import enriched
+        return self._view("enriched",
+                          lambda: enriched(self.sf_dir).materialize())
+
+    def _messages(self):
+        """The message view with its ``id`` column: ``log_messages``
+        pages, the tombstone filter and ``DELETE`` read it."""
+        from .functions.hashing import hash64_stable
+        from .pipelines.reports import messages
+
+        def add_id(b: pa.Table) -> pa.Table:
+            key = pc.binary_join_element_wise(
+                pc.cast(b["conv_id"], pa.string()),
+                pc.cast(b["turn_idx"], pa.string()), "|")
+            ids = hash64_stable(key).view(np.int64)
+            return b.append_column("id", pa.array(ids))
+
+        return self._view("messages", lambda: messages(self.sf_dir).map_batches(
+            add_id, batch_format="pyarrow", batch_size=None).materialize())
+
+    def _spool(self):
+        """The spool as one materialized block (None while empty), read
+        from disk on first use; ``insert_intrusion_log`` refreshes it."""
+        def load():
+            files = sorted(
+                os.path.join(self.spool_dir, f)
+                for f in os.listdir(self.spool_dir) if f.endswith(".parquet"))
+            if files:
+                self._spool_rows = pa.concat_tables(
+                    pq.read_table(f, schema=_SPOOL_SCHEMA) for f in files)
+            return self._spool_block()
+        return self._view("spool", load)
+
+    def _spool_block(self):
+        import ray.data as rd
+        return None if self._spool_rows is None \
+            else rd.from_arrow(self._spool_rows)
+
+    def _watermark(self, service, server):
+        """Latest ``datetime`` of the rows a geochart counts (country
+        known, optional service/server filter): the upper end of its
+        ``ndays`` window.  Read from one max per (service, server),
+        computed once per server — the corpus never changes under it."""
+        from .stages import aggregate as agg
+        marks = self._view("watermarks", lambda: agg.grouped_max(
+            self._enriched().map_batches(
+                lambda b: b.filter(pc.is_valid(b["country"])),
+                batch_format="pyarrow", batch_size=None),
+            ["service", "server"], "datetime", "hi").to_pandas())
+        if not len(marks):  # an empty result may come back without columns
+            return None
+        m = pd.Series(True, index=marks.index)
+        if service is not None:
+            m &= marks["service"] == service
+        if server is not None:
+            m &= marks["server"] == server
+        hi = marks["hi"][m].max()
+        return None if pd.isna(hi) else hi
+
     # ---- intrusion log (corpus + spool) --------------------------------
 
-    def _spool_ds(self):
-        import ray.data as rd
-        files = sorted(
-            os.path.join(self.spool_dir, f)
-            for f in os.listdir(self.spool_dir) if f.endswith(".parquet"))
-        return rd.read_parquet(files) if files else None
-
     def intrusion_log_ds(self):
-        """Everything the server serves: corpus parsed rows UNION spool."""
-        from .pipelines.reports import parsed
-        ds = parsed(self.sf_dir).map_batches(
-            lambda b: b.select(["service", "server", "datetime", "host",
-                                "username"]),
-            batch_format="pyarrow", batch_size=None)
-        spool = self._spool_ds()
-        if spool is not None:
-            ds = ds.union(spool)
-        return ds
+        """Everything the server serves: the enriched corpus view UNION the
+        spool.  Corpus blocks carry more columns than the spool's
+        ``_SPOOL_SCHEMA``: consumers project in their own per-block
+        function (a separate projection map would add an operator to
+        every request's plan)."""
+        ds, spool = self._enriched(), self._spool()
+        return ds if spool is None else ds.union(spool)
+
+    def intrusion_log_page(self, service=None, server=None, offset=0,
+                           limit=10):
+        """One page of ``intrusion_log_ds`` (security_log_http.rs
+        intrusion_log GET): newest first."""
+        def keep(b: pa.Table) -> pa.Table:
+            b = b.select(_SPOOL_SCHEMA.names)
+            m = pa.array([True] * b.num_rows)
+            if service is not None:
+                m = pc.and_(m, pc.equal(b["service"], service))
+            if server is not None:
+                m = pc.and_(m, pc.equal(b["server"], server))
+            return b.filter(pc.fill_null(m, False))
+
+        return _page(self.intrusion_log_ds(), keep, _ILOG_ORDER, offset,
+                     limit)
 
     def insert_intrusion_log(self, updates: list[dict]) -> int:
         """Idempotent insert (K1 analog of models.rs ON CONFLICT DO
@@ -168,9 +332,12 @@ class AppState:
                 # explicit schema: an all-None column (username is null for
                 # nginx/apache-style rows) would otherwise infer Arrow
                 # `null` type and poison the corpus-union schema forever
-                pq.write_table(pa.Table.from_pandas(
-                    fresh, schema=_SPOOL_SCHEMA, preserve_index=False),
-                    shard)
+                rows = pa.Table.from_pandas(
+                    fresh, schema=_SPOOL_SCHEMA, preserve_index=False)
+                pq.write_table(rows, shard)
+                self._spool_rows = rows if self._spool_rows is None \
+                    else pa.concat_tables([self._spool_rows, rows])
+                self._views["spool"] = self._spool_block()
         return len(fresh)
 
     # ---- host_country (derived dim + posted overrides) -----------------
@@ -207,10 +374,15 @@ class AppState:
 
     def cleanup(self) -> list[dict]:
         """Dangling hosts -> whois-analog country -> upsert; returns the
-        inserted rows (security_log_http.rs:443-461 host_country_cleanup)."""
-        from .pipelines.reports import dangling_hosts
+        inserted rows (security_log_http.rs:443-461 host_country_cleanup).
+        Dangling = distinct enriched-view hosts with no host_country row
+        (``reports.dangling_hosts`` over the view)."""
+        from .stages.dedup import distinct_rows
         from .stages.enrich import resolve_host
-        hosts = sorted(dangling_hosts(self.sf_dir).to_pandas()["host"])
+        miss = self._enriched().map_batches(
+            lambda b: b.filter(pc.is_null(b["code"])),
+            batch_format="pyarrow", batch_size=None)
+        hosts = sorted(distinct_rows(miss, ["host"]).to_pandas()["host"])
         rows = []
         for h in hosts:
             code = resolve_host(h)
@@ -231,20 +403,12 @@ class AppState:
 
     def messages_page(self, log_level=None, log_unit=None, min_date=None,
                       max_date=None, offset=0, limit=10):
-        """Filter pushed into the plan; sort+limit distributed; the page
-        itself is tiny (security_log_http.rs:523-571)."""
-        from .functions.hashing import hash64_stable
-        from .pipelines.reports import messages
-        import numpy as np
+        """One page of the message view, oldest first, deleted ids hidden
+        (security_log_http.rs:523-571)."""
+        tomb = self._tombstones()
+        tomb_arr = pa.array(sorted(tomb), pa.int64()) if tomb else None
 
-        def add_id(b: pa.Table) -> pa.Table:
-            key = pc.binary_join_element_wise(
-                pc.cast(b["conv_id"], pa.string()),
-                pc.cast(b["turn_idx"], pa.string()), "|")
-            ids = hash64_stable(key).view(np.int64)
-            return b.append_column("id", pa.array(ids))
-
-        def flt(b: pa.Table) -> pa.Table:
+        def keep(b: pa.Table) -> pa.Table:
             m = pa.array([True] * b.num_rows)
             if log_level is not None:
                 m = pc.and_(m, pc.equal(b["log_level"], log_level))
@@ -258,45 +422,22 @@ class AppState:
                 m = pc.and_(m, pc.less(
                     b["log_timestamp"],
                     pa.scalar(max_date).cast(pa.timestamp("us"))))
+            if tomb_arr is not None:
+                m = pc.and_(m, pc.invert(pc.is_in(b["id"],
+                                                  value_set=tomb_arr)))
             return b.filter(pc.fill_null(m, False))
 
-        tomb = self._tombstones()
-        ds = messages(self.sf_dir).map_batches(
-            flt, batch_format="pyarrow", batch_size=None).map_batches(
-            add_id, batch_format="pyarrow", batch_size=None)
-        if tomb:
-            tomb_arr = pa.array(sorted(tomb), pa.int64())
-            ds = ds.map_batches(
-                lambda b: b.filter(pc.invert(pc.fill_null(
-                    pc.is_in(b["id"], value_set=tomb_arr), False))),
-                batch_format="pyarrow", batch_size=None)
-        total = ds.count()
-        page = ds.sort(["log_timestamp", "conv_id", "turn_idx"]) \
-            .limit(offset + limit).to_pandas().iloc[offset:offset + limit]
-        return total, page.reset_index(drop=True)
+        return _page(self._messages(), keep, _MSG_ORDER, offset, limit)
 
     def delete_message(self, msg_id: int) -> int:
-        """One filtered scan counts the rows the tombstone will hide (the
-        filter pushes into the plan); the tombstone set itself is tiny
-        and persisted as JSON."""
+        """One scan of the message view counts the rows the tombstone will
+        hide; the tombstone set itself is tiny and persisted as JSON."""
         tomb = self._tombstones()
         n_modified = 0
         if msg_id not in tomb:
-            # count rows carrying this id (filter pushed into the plan)
-            from .functions.hashing import hash64_stable
-            import numpy as np
-            from .pipelines.reports import messages
-
-            def count_id(b: pa.Table) -> pa.Table:
-                key = pc.binary_join_element_wise(
-                    pc.cast(b["conv_id"], pa.string()),
-                    pc.cast(b["turn_idx"], pa.string()), "|")
-                ids = hash64_stable(key).view(np.int64)
-                return pa.table({"n": pa.array(
-                    [int((ids == msg_id).sum())], pa.int64())})
-
-            n_modified = int(messages(self.sf_dir).map_batches(
-                count_id, batch_format="pyarrow", batch_size=None).sum("n"))
+            hits = _per_block(self._messages(), lambda b: b.filter(
+                pc.equal(b["id"], msg_id)).select(["id"]))
+            n_modified = 0 if hits is None else hits.num_rows
         if n_modified:
             with self.lock:
                 # re-read under the lock: the set read before the long
@@ -314,7 +455,6 @@ class AppState:
         """``[['Country', 'Number'],["CC", n],...]`` — the reference's data
         string (security_log_http.rs:108-122).  Recency is relative to the
         corpus watermark (the sandbox corpus is fixed in time)."""
-        from .pipelines.reports import enriched
         from .stages import aggregate as agg
 
         def flt(b: pa.Table) -> pa.Table:
@@ -325,15 +465,14 @@ class AppState:
                 m = pc.and_(m, pc.equal(b["server"], server))
             return b.filter(pc.fill_null(m, False))
 
-        ds = enriched(self.sf_dir).map_batches(
+        ds = self._enriched().map_batches(
             flt, batch_format="pyarrow", batch_size=None)
         if ndays is not None:
-            hi = ds.max("datetime")
-            if hi is None or pd.isna(hi):
-                # empty filtered set: ds.max is None/NaT (NaT passes the
-                # None check and pa.scalar(NaT) raises) — serve the empty
-                # chart instead of 500ing
-                hi, ndays = None, None
+            hi = self._watermark(service, server)
+            if hi is None:
+                # empty filtered set: no watermark — serve the empty chart
+                # instead of 500ing
+                ndays = None
         if ndays is not None:
             try:
                 lo = pd.Timestamp(hi) - pd.Timedelta(days=ndays)
@@ -346,12 +485,15 @@ class AppState:
                         b["datetime"],
                         pa.scalar(lo).cast(pa.timestamp("us")))),
                     batch_format="pyarrow", batch_size=None)
-        counts = agg.grouped_count(ds, ["country"]) \
-            .sort(["cnt", "country"], descending=[True, False]).to_pandas()
+        # <= one row per country: sorted on the driver (an empty result
+        # may come back without columns)
+        counts = agg.grouped_count(ds, ["country"]).to_pandas()
+        if len(counts):
+            counts = counts.sort_values(["cnt", "country"],
+                                        ascending=[False, True])
         rows = ",".join(f'["{r.country}", {r.cnt}]'
                         for r in counts.itertuples())
         return f"[['Country', 'Number'],{rows}]"
-
 
 
 def openapi_spec() -> dict:
@@ -528,7 +670,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif path in ("/security_log/intrusion_attempts",
                           "/security_log/intrusion_attempts/all"):
                 all_ = path.endswith("/all")
-                ndays = None if all_ else int(q.get("ndays", "30"))
+                ndays = None if all_ else _count_param(q, "ndays", 30)
                 service = q.get("service", "ssh")
                 server = q.get("location", q.get("server"))
                 cache = st.attempts_all_cache if all_ else st.attempts_cache
@@ -537,35 +679,19 @@ class _Handler(BaseHTTPRequestHandler):
                     key, lambda: st.country_rows(service, server, ndays))
                 self._send(200, _INDEX_BODY.format(data=data), "text/html")
             elif path == "/security_log/intrusion_log":
-                ds = st.intrusion_log_ds()
-                service, server = q.get("service"), q.get("server")
-
-                def flt(b: pa.Table, _s=service, _v=server) -> pa.Table:
-                    m = pa.array([True] * b.num_rows)
-                    if _s is not None:
-                        m = pc.and_(m, pc.equal(b["service"], _s))
-                    if _v is not None:
-                        m = pc.and_(m, pc.equal(b["server"], _v))
-                    return b.filter(pc.fill_null(m, False))
-
-                ds = ds.map_batches(flt, batch_format="pyarrow",
-                                    batch_size=None)
-                total = ds.count()
-                offset = int(q.get("offset", "0"))
-                limit = int(q.get("limit", "10"))
-                page = ds.sort(["datetime", "host", "service", "server"],
-                               descending=[True, False, False, False]) \
-                    .limit(offset + limit).to_pandas() \
-                    .iloc[offset:offset + limit]
+                offset = _count_param(q, "offset", 0)
+                limit = _count_param(q, "limit", 10)
+                total, page = st.intrusion_log_page(
+                    q.get("service"), q.get("server"), offset, limit)
                 self._send(200, json.dumps({
                     "pagination": {"total": total, "offset": offset,
                                    "limit": limit},
                     "data": page.to_dict("records")},
                     default=_json_default))
             elif path == "/security_log/host_country":
+                offset = _count_param(q, "offset", 0)
+                limit = _count_param(q, "limit", 10)
                 df = st.host_country_df()
-                offset = int(q.get("offset", "0"))
-                limit = int(q.get("limit", "10"))
                 self._send(200, json.dumps({
                     "pagination": {"total": len(df), "offset": offset,
                                    "limit": limit},
@@ -623,21 +749,23 @@ class _Handler(BaseHTTPRequestHandler):
                         {"email": "user@localhost", "session": "local",
                          "created_at": _DERIVED_CREATED_AT}))
             elif path == "/security_log/log_messages":
+                offset = _count_param(q, "offset", 0)
+                limit = _count_param(q, "limit", 10)
                 total, page = st.messages_page(
                     log_level=q.get("log_level"),
                     log_unit=q.get("log_unit"),
                     min_date=q.get("min_date"),
                     max_date=q.get("max_date"),
-                    offset=int(q.get("offset", "0")),
-                    limit=int(q.get("limit", "10")))
+                    offset=offset, limit=limit)
                 self._send(200, json.dumps({
-                    "pagination": {"total": total,
-                                   "offset": int(q.get("offset", "0")),
-                                   "limit": int(q.get("limit", "10"))},
+                    "pagination": {"total": total, "offset": offset,
+                                   "limit": limit},
                     "data": page.to_dict("records")},
                     default=_json_default))
             else:
                 self._send(404, json.dumps({"error": "not found"}))
+        except _BadRequest as exc:
+            self._send(400, json.dumps({"error": str(exc)}))
         except Exception as exc:  # noqa: BLE001 — serving layer boundary
             self._send(500, json.dumps({"error": str(exc)}))
 

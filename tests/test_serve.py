@@ -239,3 +239,234 @@ def test_openapi_spec_routes(server):
         "delete_log_message", "map_script", "user"])
     status_y, body_y = _get(f"{server}/security_log/openapi/yaml")
     assert status_y == 200 and json.loads(body_y) == spec
+
+
+# ---- one-pass pages over views built once per server ----------------------
+
+def _start(state_dir: str):
+    from security_log_analysis_rust_ray.serve import make_server
+    srv = make_server(SF, state_dir, port=0)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    return srv, f"http://127.0.0.1:{srv.server_port}"
+
+
+def _stop(srv) -> None:
+    srv.shutdown()
+    srv.server_close()
+
+
+def _status(url: str) -> tuple[int, dict | str]:
+    import urllib.error
+    try:
+        status, body = _get(url)
+    except urllib.error.HTTPError as exc:
+        status, body = exc.code, exc.read().decode()
+    return status, json.loads(body) if body.startswith("{") else body
+
+
+def _records(df) -> list[dict]:
+    """Page rows as the routes serialize them."""
+    from security_log_analysis_rust_ray.serve import _json_default
+    return json.loads(json.dumps(df.to_dict("records"),
+                                 default=_json_default))
+
+
+# natural-key duplicates that differ only in username (null included):
+# the page order must break their tie the same way on every request
+_TIES = [{"service": "ssh", "server": "srv-tie", "datetime":
+          "2032-01-01T00:00:00Z", "host": "h9.example.com", "username": u}
+         for u in ("zed", None, "amy")]
+
+
+@pytest.fixture(scope="module")
+def fresh_server(tmp_path_factory, ray_session):
+    srv, url = _start(str(tmp_path_factory.mktemp("serve_pages")))
+    yield srv, url
+    _stop(srv)
+
+
+@pytest.mark.parametrize("query", ["", "service=ssh", "server=srv-tie",
+                                   "service=ftp"])
+def test_intrusion_log_pages_match_pandas(fresh_server, query):
+    """Every page equals a pandas sort (datetime desc, host, service,
+    server, username; nulls last) and slice of the collected corpus +
+    spool: offset 0, a middle offset, an offset past total, and a filter
+    that matches nothing (total 0, data [])."""
+    import pandas as pd
+    from security_log_analysis_rust_ray.pipelines.reports import parsed
+    from security_log_analysis_rust_ray.serve import _SPOOL_SCHEMA
+    srv, url = fresh_server
+    status, body = _req(f"{url}/security_log/intrusion_log", "POST",
+                        {"updates": _TIES})
+    assert status == 201 and body in ("Inserts 3", "Inserts 0")
+    cols = _SPOOL_SCHEMA.names
+    ties = pd.DataFrame(_TIES)
+    ties["datetime"] = pd.to_datetime(ties["datetime"]).dt.tz_localize(None)
+    full = pd.concat([parsed(SF).to_pandas()[cols], ties], ignore_index=True)
+    for kv in filter(None, query.split("&")):
+        k, v = kv.split("=")
+        full = full[full[k] == v]
+    full = full.sort_values(["datetime", "host", "service", "server",
+                             "username"],
+                            ascending=[False, True, True, True, True],
+                            na_position="last", kind="stable")
+    total = len(full)
+    for offset, limit in ((0, 10), (total // 2, 7), (total + 5, 10),
+                          (1, 0)):
+        status, out = _status(f"{url}/security_log/intrusion_log?"
+                              f"{query}&offset={offset}&limit={limit}")
+        assert status == 200
+        assert out["pagination"] == {"total": total, "offset": offset,
+                                     "limit": limit}
+        assert out["data"] == _records(full.iloc[offset:offset + limit])
+    if query == "server=srv-tie":
+        _, out = _status(f"{url}/security_log/intrusion_log?{query}")
+        assert [r["username"] for r in out["data"]] == ["amy", "zed", None]
+    if query == "service=ftp":
+        assert total == 0 and out["data"] == []
+
+
+@pytest.mark.parametrize("query", ["", "log_level=error", "log_level=nope"])
+def test_log_messages_pages_match_pandas(fresh_server, query):
+    """Every page equals a pandas sort (log_timestamp, conv_id, turn_idx)
+    and slice of the collected message view, deleted ids hidden."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from security_log_analysis_rust_ray.functions.hashing import \
+        hash64_stable
+    from security_log_analysis_rust_ray.pipelines.reports import messages
+    srv, url = fresh_server
+    full = messages(SF).to_pandas()
+    key = pc.binary_join_element_wise(
+        pa.array(full["conv_id"]).cast(pa.string()),
+        pa.array(full["turn_idx"]).cast(pa.string()), "|")
+    full["id"] = hash64_stable(key).view(np.int64)
+    full = full[~full["id"].isin(srv.app_state._tombstones())]
+    if query:
+        full = full[full["log_level"] == query.split("=")[1]]
+    full = full.sort_values(["log_timestamp", "conv_id", "turn_idx"])
+    total = len(full)
+    for offset, limit in ((0, 10), (total // 2, 7), (total + 5, 10)):
+        status, out = _status(f"{url}/security_log/log_messages?"
+                              f"{query}&offset={offset}&limit={limit}")
+        assert status == 200
+        assert out["pagination"] == {"total": total, "offset": offset,
+                                     "limit": limit}
+        assert out["data"] == _records(full.iloc[offset:offset + limit])
+    if query == "log_level=nope":
+        assert total == 0 and out["data"] == []
+
+
+def test_attempts_ndays_windows_match_pandas(fresh_server):
+    """Each ndays geochart counts the rows within ndays of the latest
+    datetime of its own (service, location) slice; the watermarks come
+    from one cached per-(service, server) max."""
+    import pandas as pd
+    from security_log_analysis_rust_ray.pipelines.reports import enriched
+    _, url = fresh_server
+    full = enriched(SF).to_pandas()
+    full = full[full["country"].notna()]
+    for service, server, ndays in (("ssh", None, 3), ("ssh", "srv1", 1),
+                                   ("ssh", "srv3", 0), ("apache", "nope", 5)):
+        sub = full[full["service"] == service]
+        if server is not None:
+            sub = sub[sub["server"] == server]
+        if len(sub):
+            sub = sub[sub["datetime"] >= sub["datetime"].max()
+                      - pd.Timedelta(days=ndays)]
+        counts = sub.groupby("country").size().reset_index(name="cnt") \
+            .sort_values(["cnt", "country"], ascending=[False, True])
+        rows = ",".join(f'["{r.country}", {r.cnt}]'
+                        for r in counts.itertuples())
+        loc = f"&location={server}" if server else ""
+        _, html = _get(f"{url}/security_log/intrusion_attempts?"
+                       f"service={service}{loc}&ndays={ndays}")
+        assert f"let data = [['Country', 'Number'],{rows}];" in html
+
+
+@pytest.mark.parametrize("route,param", [
+    ("intrusion_log", "offset=-1"), ("intrusion_log", "limit=ten"),
+    ("log_messages", "offset=1.5"), ("log_messages", "limit=-10"),
+    ("host_country", "offset=-3"), ("host_country", "limit=x"),
+    ("intrusion_attempts", "ndays=-7"), ("intrusion_attempts", "ndays=a"),
+])
+def test_bad_page_parameters_get_400(fresh_server, route, param):
+    """A negative or non-integer offset, limit or ndays is a client
+    error with a JSON body, not a 500 or a wrong page."""
+    _, url = fresh_server
+    status, out = _status(f"{url}/security_log/{route}?{param}")
+    assert status == 400
+    assert param.split("=")[0] in out["error"]
+
+
+def test_insert_then_get_serves_from_refreshed_spool(fresh_server):
+    """The spool block is built by the first page and refreshed by the
+    insert's write: the new row is on the next page (total + 1) and a
+    replay acks Inserts 0."""
+    _, url = fresh_server
+    page = f"{url}/security_log/intrusion_log?server=srv-new&limit=5"
+    _, before = _status(page)
+    row = {"service": "ssh", "server": "srv-new", "host": "h3.example.com",
+           "datetime": "2033-03-03T03:03:03Z", "username": "new"}
+    assert _req(f"{url}/security_log/intrusion_log", "POST",
+                {"updates": [row]}) == (201, "Inserts 1")
+    _, after = _status(page)
+    assert after["pagination"]["total"] == before["pagination"]["total"] + 1
+    assert after["data"][0]["username"] == "new"
+    assert _req(f"{url}/security_log/intrusion_log", "POST",
+                {"updates": [row]}) == (201, "Inserts 0")
+
+
+def test_views_parse_the_corpus_once(tmp_path, ray_session, monkeypatch):
+    """Concurrent first geocharts build the enriched view once (one
+    parse); the first log_messages page builds the message view (one
+    more); no later request of any route parses the corpus again."""
+    import sys
+    from security_log_analysis_rust_ray.pipelines import reports
+    calls = []
+    orig = reports.routed_ds
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(reports, "routed_ds", counted)
+    srv, url = _start(str(tmp_path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = threading.Barrier(6)
+        codes = []
+
+        def cold(service):
+            start.wait(timeout=60)
+            codes.append(_get(f"{url}/security_log/intrusion_attempts/all"
+                              f"?service={service}")[0])
+
+        threads = [threading.Thread(target=cold, args=(s,)) for s in
+                   ("ssh", "apache", "nginx", "ftp", "x", "y")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == [200] * 6
+        assert len(calls) == 1
+        _, out = _status(f"{url}/security_log/log_messages?limit=1")
+        assert len(calls) == 2
+        victim = out["data"][0]["id"]
+        for _ in range(2):
+            for path in ("intrusion_attempts?service=ssh&ndays=3",
+                         "intrusion_attempts/all?service=apache",
+                         "intrusion_log?service=ssh&offset=4",
+                         "log_messages?log_level=info&offset=2"):
+                assert _get(f"{url}/security_log/{path}")[0] == 200
+            _req(f"{url}/security_log/intrusion_log", "POST",
+                 {"updates": _TIES})
+            _req(f"{url}/security_log/log_messages/{victim}", "DELETE")
+        assert _req(f"{url}/security_log/cleanup", "POST", {})[0] == 200
+        assert len(calls) == 2
+    finally:
+        sys.setswitchinterval(interval)
+        _stop(srv)
